@@ -66,12 +66,18 @@ def _g12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+def _workers(args) -> int:
+    """Worker count from --workers, else from the environment, else 1."""
+    if args.workers is not None:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        return args.workers
+    raw = os.environ.get(WORKERS_ENV, "").strip()
+    if not raw:
         return 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _policy_from_args(args) -> ReciprocityPolicy:
@@ -285,7 +291,7 @@ def _write_manifest(path: Path, config: SimulationConfig, table: RiTable,
 def cmd_simulate(args) -> int:
     config, ri_path = _parse_simulation_config(args.config)
     table = RiTable.from_file(ri_path) if ri_path else default_ri_table()
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = _workers(args)
     result = run_simulation(config, table, workers=workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -340,7 +346,7 @@ def _parse_orders(spec: str) -> list[int]:
 
 
 def cmd_ri_estimate(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = _workers(args)
     table = build_ri_table(_parse_orders(args.orders), args.samples, args.seed,
                            scale=args.scale, workers=workers)
     if args.out:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._power import power_iterate
-from .consistency import RiTable, default_ri_table
+from .consistency import _CI_NOISE_FLOOR, RiTable, default_ri_table
 from .core import PCMatrix
 from .errors import EmptyBinError, NoConvergenceError
 from .metrics import METRICS, ComparisonRecord, record_from_vectors, rgm_at_least_as_close
@@ -48,10 +48,11 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"matrix order must be >= 2, got {self.n}")
-        if self.delta <= 0.0:
-            raise ValueError(f"perturbation half-width must be positive, got {self.delta}")
-        if not (0.0 < self.weight_low < self.weight_high):
-            raise ValueError("need 0 < weight_low < weight_high")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"perturbation half-width must be finite and positive, "
+                             f"got {self.delta}")
+        if not (0.0 < self.weight_low < self.weight_high < math.inf):
+            raise ValueError("need 0 < weight_low < weight_high < inf")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -84,16 +85,16 @@ class SimulationConfig:
         object.__setattr__(self, "metrics", tuple(self.metrics))
         if not dims or min(dims) < 3:
             raise ValueError("dims must contain orders >= 3")
-        if not deltas or min(deltas) <= 0.0:
-            raise ValueError("deltas must be positive")
+        if not deltas or not all(math.isfinite(d) and d > 0.0 for d in deltas):
+            raise ValueError(f"deltas must be finite and positive, got {deltas}")
         if self.matrices_per_cell < 1:
             raise ValueError("matrices_per_cell must be >= 1")
-        if self.bin_width <= 0.0:
-            raise ValueError("bin_width must be positive")
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
+            raise ValueError(f"bin_width must be finite and positive, got {self.bin_width}")
         if self.min_bin_count < 0:
             raise ValueError("min_bin_count must be >= 0")
-        if self.cr_cap <= 0.0:
-            raise ValueError("cr_cap must be positive")
+        if not (math.isfinite(self.cr_cap) and self.cr_cap > 0.0):
+            raise ValueError(f"cr_cap must be finite and positive, got {self.cr_cap}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         unknown = set(self.metrics) - set(METRICS)
@@ -273,7 +274,7 @@ def records_for_matrices(mats: np.ndarray, ri: float,
 
 def _cr_from_lambda(lam: np.ndarray, n: int, ri: float) -> np.ndarray:
     ci = (lam - n) / (n - 1)
-    ci = np.where(np.abs(ci) < 1e-9, 0.0, ci)
+    ci = np.where(np.abs(ci) < _CI_NOISE_FLOOR, 0.0, ci)
     return ci / ri
 
 

@@ -143,6 +143,16 @@ class TestGenerateCommand:
         # full-precision text reloads under the strictest reciprocity check
         assert main(["weights", str(files_a[0]), "--tolerance", "1e-9"]) == 0
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--delta", "nan"), ("--delta", "inf"), ("--weight-high", "inf"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, flag, value):
+        args = {"--n": "4", "--delta": "1", "--out-dir": str(tmp_path / "m")}
+        args[flag] = value
+        assert main(["generate", *(x for kv in args.items() for x in kv)]) == 2
+        assert "pcmkit: error:" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
 
 class TestSimulateCommand:
     def _run(self, tmp_path, out_name, extra=()):
@@ -230,6 +240,37 @@ class TestSimulateCommand:
         config = tmp_path / "sim.cfg"
         config.write_text(f"dims=4,5\ndeltas=1\ncounts=100\nseed=1\nri_table={table}\n")
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("line", [
+        "deltas=nan", "deltas=1,inf", "bin_width=nan", "bin_width=inf",
+        "cr_cap=inf", "cr_cap=nan",
+    ])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, line):
+        key = line.partition("=")[0]
+        config = tmp_path / "sim.cfg"
+        base = {"dims": "4", "deltas": "1", "counts": "100", "seed": "1"}
+        base[key] = line.partition("=")[2]
+        config.write_text("".join(f"{k}={v}\n" for k, v in base.items()))
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        config = tmp_path / "sim.cfg"
+        config.write_text(TINY_CONFIG)
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x"),
+                     "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_env_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        config = tmp_path / "sim.cfg"
+        config.write_text(TINY_CONFIG)
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert WORKERS_ENV in capsys.readouterr().err
 
 
 class TestAggregateCommand:
@@ -325,3 +366,15 @@ class TestRiEstimateCommand:
 
     def test_bad_order_spec_exits_2(self, capsys):
         assert main(["ri-estimate", "--orders", "x", "--samples", "1000"]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        assert main(["ri-estimate", "--orders", "3", "--samples", "1000",
+                     "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_bad_worker_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        assert main(["ri-estimate", "--orders", "3", "--samples", "1000"]) == 2
+        assert WORKERS_ENV in capsys.readouterr().err
+
