@@ -15,6 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# The ufunc reductions behind ndarray.sum, .mean and np.max, called
+# directly: on one small matrix the wrappers cost as much as the arithmetic,
+# and the bits are the same (a mean is the sum divided by the count).
+_sum = np.add.reduce
+_max = np.maximum.reduce
+
 # Mat-vecs per stopping test.  Measured on 8192-matrix batches of order
 # 4-15: 8 beat 4, and the stop rounds up by at most 7 mat-vecs.
 _CHECK_EVERY = 8
@@ -51,14 +57,14 @@ def power_iterate(mats: np.ndarray, tol: float, max_iter: int):
         check = min(it + _CHECK_EVERY, max_iter)
         for _ in range(check - it - 1):
             v = np.matmul(active, w[:, :, None])[:, :, 0]
-            w = v / v.sum(axis=1)[:, None]
+            w = v / _sum(v, axis=1, keepdims=True)
         it = check
 
         v = np.matmul(active, w[:, :, None])[:, :, 0]
-        lam = (v / w).mean(axis=1)
-        resid = np.max(np.abs(v - lam[:, None] * w) / w, axis=1)
-        w_next = v / v.sum(axis=1)[:, None]
-        change = np.max(np.abs(w_next - w) / w, axis=1)
+        lam = _sum(v / w, axis=1) / n
+        resid = _max(np.abs(v - lam[:, None] * w) / w, axis=1)
+        w_next = v / _sum(v, axis=1, keepdims=True)
+        change = _max(np.abs(w_next - w) / w, axis=1)
         done = (change <= tol) & (resid <= tol * lam)
         stop = done | (it == max_iter)
         if stop.any():

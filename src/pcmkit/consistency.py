@@ -205,6 +205,11 @@ def _ri_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -
     return float(ci.sum())
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def estimate_random_index(n: int, samples: int, seed: int, *,
                           scale: str = "saaty", workers: int = 1) -> float:
     """Mean CI of randomly filled reciprocal matrices of order n.
@@ -217,6 +222,7 @@ def estimate_random_index(n: int, samples: int, seed: int, *,
     chunk k is seeded by (seed, k), and the chunk sums are combined in
     chunk order.
     """
+    _check_workers(workers)
     if n < 3:
         raise ValueError(f"random index needs n >= 3, got {n}")
     if samples < 1000:
@@ -240,6 +246,7 @@ def _ri_chunk_sum_star(args) -> float:
 def build_ri_table(orders, samples: int, base_seed: int, *,
                    scale: str = "saaty", workers: int = 1) -> RiTable:
     """Estimate RI for several orders; order n uses seed base_seed + n."""
+    _check_workers(workers)
     values: dict[int, float] = {}
     prov: dict[int, RiProvenance] = {}
     for n in sorted(set(int(x) for x in orders)):

@@ -10,7 +10,7 @@ and the plain-text matrix file format consumed by the CLI.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -91,9 +91,16 @@ class PCMatrix:
     least two alternatives, strictly positive entries, unit diagonal, and
     mirrored products within the hard reciprocity bound.  Instances are
     safe to share across concurrent workers.
+
+    `_eigen` is private to `weighting`: it memoizes the Perron pairs of
+    this instance and of its transpose per solver config.  It takes no
+    part in equality or repr, and is neither pickled nor copied.  Threads
+    that race on an empty memo may each solve; they store equal,
+    immutable results.
     """
 
     entries: np.ndarray
+    _eigen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -112,6 +119,13 @@ class PCMatrix:
             i, j = np.unravel_index(int(np.argmax(residual)), residual.shape)
             raise ReciprocityViolationError(int(i), int(j), float(a[i, j] * a[j, i] - 1.0))
         object.__setattr__(self, "entries", _as_readonly(a))
+
+    def __getstate__(self):
+        return {"entries": self.entries}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "entries", _as_readonly(state["entries"]))
+        object.__setattr__(self, "_eigen", {})
 
     @property
     def n(self) -> int:
@@ -263,7 +277,7 @@ def _parse_token(token: str, lineno: int) -> float:
             # Fractions are parsed exactly, then rounded once to float.
             return float(Fraction(token))
         return float(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"line {lineno}: cannot parse entry {token!r}") from exc
 
 

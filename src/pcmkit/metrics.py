@@ -9,7 +9,7 @@ depends solely on the induced rankings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,12 @@ METRICS = ("euclidean", "chebyshev", "max_ratio", "kendall")
 
 # Vector pairs measured per matrix, all anchored at the right eigenvector.
 PAIRS = ("inverse_left", "combined", "row_geometric_mean")
+
+# The ufunc reductions behind np.sum and np.max, called directly: on a
+# batch of one the wrappers cost as much as the arithmetic, and the bits
+# are the same.
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
 def _unit_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -74,13 +80,6 @@ def kendall_tau(u, v) -> float:
     return (concordant - discordant) / (n * (n - 1) / 2)
 
 
-_METRIC_FUNC = {
-    "euclidean": euclidean,
-    "chebyshev": chebyshev,
-    "max_ratio": max_ratio,
-    "kendall": kendall_tau,
-}
-
 # Ties count as "at least as close".  Where the compared vectors coincide
 # analytically (consistent input, three alternatives) both distances are
 # pure solver noise, so the tie needs a tolerance well below any distance
@@ -117,17 +116,43 @@ class ComparisonRecord:
         return self.values[metric][PAIRS.index(pair)]
 
 
+def metric_blocks(right: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray:
+    """All four metrics between each row of `right` and the same row of
+    every array in `others`, all (batch, n) and unit-sum.
+
+    Returns shape (len(METRICS), len(others), batch).  The pairs are taken
+    one at a time so that no more than one (batch, n(n-1)/2) sign block per
+    vector is alive at once.
+    """
+    batch, n = right.shape
+    out = np.empty((len(METRICS), len(others), batch))
+    iu, ju = np.triu_indices(n, 1)
+    pairs = n * (n - 1) / 2
+    sign_r = np.sign(right[:, iu] - right[:, ju])
+    for p, other in enumerate(others):
+        diff = right - other
+        out[0, p] = np.sqrt(_sum(diff * diff, axis=1))
+        out[1, p] = _max(np.abs(diff), axis=1)
+        ratio = right / other
+        out[2, p] = _max(np.maximum(ratio, 1.0 / ratio), axis=1)
+        prod = sign_r * np.sign(other[:, iu] - other[:, ju])
+        out[3, p] = (_sum(prod > 0, axis=1) - _sum(prod < 0, axis=1)) / pairs
+    return out
+
+
 def record_from_vectors(right: np.ndarray, inverse_left: np.ndarray,
                         combined: np.ndarray, rgm: np.ndarray,
                         cr: float) -> ComparisonRecord:
-    """Assemble a ComparisonRecord from already computed unit-sum vectors."""
-    values: dict[str, tuple[float, float, float]] = {}
-    closer: dict[str, bool] = {}
-    for m in METRICS:
-        f = _METRIC_FUNC[m]
-        triple = (f(right, inverse_left), f(right, combined), f(right, rgm))
-        values[m] = triple
-        closer[m] = bool(rgm_at_least_as_close(m, triple[2], triple[0]))
+    """Assemble a ComparisonRecord from already computed unit-sum vectors.
+
+    Each vector is renormalized to unit sum once, then scored by
+    `metric_blocks` as a batch of one.
+    """
+    vecs = np.stack([right, inverse_left, combined, rgm])
+    vecs = vecs / vecs.sum(axis=1)[:, None]
+    block = metric_blocks(vecs[None, 0], (vecs[None, 1], vecs[None, 2], vecs[None, 3]))
+    values = {m: tuple(float(x) for x in block[mi, :, 0]) for mi, m in enumerate(METRICS)}
+    closer = {m: bool(rgm_at_least_as_close(m, values[m][2], values[m][0])) for m in METRICS}
     top_reversal = int(np.argmax(right)) != int(np.argmax(inverse_left))
     d_r = np.sign(right[:, None] - right[None, :])
     d_l = np.sign(inverse_left[:, None] - inverse_left[None, :])

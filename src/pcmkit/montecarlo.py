@@ -16,6 +16,7 @@ runs.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -23,16 +24,26 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._power import power_iterate
-from .consistency import _CI_NOISE_FLOOR, RiTable, default_ri_table
+from .consistency import _CI_NOISE_FLOOR, RiTable, _check_workers, default_ri_table
 from .core import PCMatrix
 from .errors import EmptyBinError, NoConvergenceError
-from .metrics import METRICS, ComparisonRecord, record_from_vectors, rgm_at_least_as_close
+from .metrics import (
+    METRICS,
+    ComparisonRecord,
+    metric_blocks,
+    record_from_vectors,
+    rgm_at_least_as_close,
+)
 from .weighting import DEFAULT_SOLVER, EigenSolverConfig
 
 _BATCH = 8192
 
 # Pair order inside sum arrays, anchored at the right eigenvector.
 _PAIR_COUNT = 3
+
+# 8-byte slots per bin in a task partial: counts, the metric sums of every
+# pair, the closer counts of every metric, and top reversals.
+_SLOTS_PER_BIN = 1 + len(METRICS) * _PAIR_COUNT + len(METRICS) + 1
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,9 @@ class SimulationConfig:
             raise ValueError("min_bin_count must be >= 0")
         if not (math.isfinite(self.cr_cap) and self.cr_cap > 0.0):
             raise ValueError(f"cr_cap must be finite and positive, got {self.cr_cap}")
+        if not math.isfinite(self.cr_cap / self.bin_width):
+            raise ValueError(f"bin_width {self.bin_width} splits cr_cap {self.cr_cap} "
+                             "into more bins than a float can count")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         unknown = set(self.metrics) - set(METRICS)
@@ -104,7 +118,7 @@ class SimulationConfig:
     @property
     def n_bins(self) -> int:
         """Regular bins below the cap; index n_bins is the overflow bucket."""
-        return int(math.ceil(self.cr_cap / self.bin_width - 1e-12))
+        return max(1, int(math.ceil(self.cr_cap / self.bin_width - 1e-12)))
 
     def cells(self) -> list[tuple[int, float]]:
         return [(n, d) for n in self.dims for d in self.deltas]
@@ -234,27 +248,6 @@ def batch_vectors(mats: np.ndarray, solver: EigenSolverConfig):
     return wr, inv, combined, rgm, lam_r, ok
 
 
-def _metric_blocks(right: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray:
-    """Metric values, shape (len(METRICS), len(others), batch)."""
-    batch, n = right.shape
-    out = np.empty((len(METRICS), len(others), batch))
-    iu, ju = np.triu_indices(n, 1)
-    pairs = n * (n - 1) / 2
-    sign_r = np.sign(right[:, :, None] - right[:, None, :])[:, iu, ju]
-    for p, other in enumerate(others):
-        diff = right - other
-        out[0, p] = np.sqrt(np.sum(diff * diff, axis=1))
-        out[1, p] = np.max(np.abs(diff), axis=1)
-        ratio = right / other
-        out[2, p] = np.max(np.maximum(ratio, 1.0 / ratio), axis=1)
-        sign_o = np.sign(other[:, :, None] - other[:, None, :])[:, iu, ju]
-        prod = sign_r * sign_o
-        concordant = np.sum(prod > 0, axis=1)
-        discordant = np.sum(prod < 0, axis=1)
-        out[3, p] = (concordant - discordant) / pairs
-    return out
-
-
 def records_for_matrices(mats: np.ndarray, ri: float,
                          solver: EigenSolverConfig | None = None) -> list[ComparisonRecord]:
     """Per-matrix comparison records for a stack sharing one matrix order."""
@@ -349,7 +342,7 @@ def run_task(config: SimulationConfig, task: SimTask, ri: float,
     bins = np.minimum((cr / config.bin_width).astype(np.int64), nb - 1)
     bins = np.where(cr >= config.cr_cap, nb, bins)
 
-    values = _metric_blocks(wr, (inv, combined, rgm))
+    values = metric_blocks(wr, (inv, combined, rgm))
     closer_flags = np.empty((len(METRICS), wr.shape[0]), dtype=bool)
     for mi, m in enumerate(METRICS):
         closer_flags[mi] = rgm_at_least_as_close(m, values[mi, 2], values[mi, 0])
@@ -459,6 +452,26 @@ def reduce_partials(config: SimulationConfig,
                             per_delta=per_delta, nonconverged=nonconverged)
 
 
+def _check_bin_memory(config: SimulationConfig, n_tasks: int) -> None:
+    """Refuse a run whose bin arrays cannot fit in this machine's memory.
+
+    A run keeps every task partial until the reduction, which adds one
+    accumulator per cell and per order, so a fine `bin_width` multiplies
+    with the task count.
+    """
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return
+    arrays = n_tasks + len(config.cells()) + len(config.dims)
+    need = 8 * _SLOTS_PER_BIN * (config.n_bins + 1) * arrays
+    if need > memory:
+        raise ValueError(
+            f"bin_width {config.bin_width} gives {config.n_bins:.3g} bins; holding them for "
+            f"{arrays} task partials and accumulators needs more than the "
+            f"{memory / 2**30:.1f} GiB of memory")
+
+
 def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
                    workers: int = 1,
                    solver: EigenSolverConfig | None = None) -> SimulationResult:
@@ -469,9 +482,11 @@ def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
     such failure aborts the run with an error carrying the count; positive
     matrices are not expected to fail at all.
     """
+    _check_workers(workers)
     table = ri_table if ri_table is not None else default_ri_table()
     ris = {n: table.ri(n) for n in config.dims}
     tasks = simulation_tasks(config)
+    _check_bin_memory(config, len(tasks))
     args = [(config, t, ris[t.n], solver) for t in tasks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

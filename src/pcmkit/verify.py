@@ -237,11 +237,11 @@ class AggregationCheck:
         return "matrix aggregation uniform vs priority aggregation ordered"
 
     @cached_property
-    def partner(self) -> PCMatrix:
-        return reconcile_matrix_text(self.partner_text)
+    def _partner_entries(self) -> np.ndarray:
+        return reconcile_matrix_text(self.partner_text).entries
 
     def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        partner = self.partner
+        partner = PCMatrix(self._partner_entries)
         merged = aggregate_matrices_geometric([ctx.matrix, partner])
         ones_residual = float(np.max(np.abs(merged.entries - 1.0)))
         merged_w = right_eigenvector(merged, ctx.config).weights
@@ -269,8 +269,15 @@ class VerifyCase:
     # Published decimals round both triangles independently; the loader
     # reconciles each pair within the precision of its two printed entries.
     @cached_property
+    def _entries(self) -> np.ndarray:
+        return reconcile_matrix_text(self.matrix_text).entries
+
+    @property
     def matrix(self) -> PCMatrix:
-        return reconcile_matrix_text(self.matrix_text)
+        """A new instance on every access: the exact reconciliation runs
+        once, but no eigen solve memoized on a matrix outlives the
+        verification run that made it."""
+        return PCMatrix(self._entries)
 
 
 _JUDGE_1 = """

@@ -5,6 +5,16 @@ eigenvector, its componentwise inverse, and the combined right/inverse-left
 vector), the row geometric mean, and the two geometric aggregation schemes
 for group judgments: entrywise aggregation of matrices and componentwise
 aggregation of priority vectors.
+
+Every function of the eigenvector family reads one memo per `PCMatrix`
+instance and solver config, holding the Perron vectors of the matrix and
+of its transpose.  Each is solved at most once, when first asked for:
+`right_eigenvector` (and the consistency indices built on it) solves the
+matrix alone, and `eigen_system` solves whatever is missing in one power
+iteration call, both rows on a fresh matrix.  A row's bits do not depend
+on what shares the call, so the order of the calls changes no result.
+The memo lives and dies with the instance; no cache is shared between
+matrices, so two matrices with equal entries each solve their own.
 """
 
 from __future__ import annotations
@@ -55,30 +65,48 @@ class EigenResult:
     residual: float
 
 
-def _solve(stack: np.ndarray, config: EigenSolverConfig,
-           methods: tuple[str, ...]) -> list[EigenResult]:
-    """One power-iteration call for a (k, n, n) stack; raises on the first
-    matrix that blew the iteration budget."""
-    w, lam, iters, resid, conv = power_iterate(
-        stack, config.convergence_tol, config.max_iterations
-    )
-    for k in range(len(methods)):
-        if not conv[k]:
-            raise NoConvergenceError(int(iters[k]), float(resid[k]))
-    return [
-        EigenResult(WeightVector(w[k] / w[k].sum(), Normalization.SUM_ONE, method),
-                    float(lam[k]), int(iters[k]), float(resid[k]))
-        for k, method in enumerate(methods)
-    ]
+_ROW_METHODS = ("right-eigenvector", "left-eigenvector")
+
+
+def _solved(matrix: PCMatrix, config: EigenSolverConfig, rows: tuple[int, ...]) -> list:
+    """Memoized eigenpairs of the matrix (row 0) and its transpose (row 1).
+
+    Rows not yet in the matrix's memo for this config are solved in one
+    power-iteration call and stored: an EigenResult for a converged row,
+    (iterations, residual) for one that blew the budget, so every caller
+    raises its own error.  The memo lives and dies with the instance.
+    """
+    memo = matrix._eigen.setdefault(config, {})
+    missing = [k for k in rows if k not in memo]
+    if missing:
+        a = matrix.entries
+        w, lam, iters, resid, conv = power_iterate(
+            np.stack([a.T if k else a for k in missing]),
+            config.convergence_tol, config.max_iterations,
+        )
+        for i, k in enumerate(missing):
+            memo[k] = (
+                EigenResult(WeightVector(w[i] / w[i].sum(), Normalization.SUM_ONE,
+                                         _ROW_METHODS[k]),
+                            float(lam[i]), int(iters[i]), float(resid[i]))
+                if conv[i] else (int(iters[i]), float(resid[i]))
+            )
+    return [_converged(memo[k]) for k in rows]
+
+
+def _converged(row) -> EigenResult:
+    if isinstance(row, EigenResult):
+        return row
+    raise NoConvergenceError(*row)
 
 
 def right_eigenvector(matrix: PCMatrix, config: EigenSolverConfig | None = None) -> EigenResult:
     """Perron vector of the matrix, normalized to unit sum.
 
     Deterministic: power iteration always starts from the uniform vector.
+    Solves the matrix alone; the transpose is left to `eigen_system`.
     """
-    config = config or DEFAULT_SOLVER
-    return _solve(matrix.entries[None], config, ("right-eigenvector",))[0]
+    return _solved(matrix, config or DEFAULT_SOLVER, (0,))[0]
 
 
 def eigen_system(matrix: PCMatrix, config: EigenSolverConfig | None = None):
@@ -89,8 +117,7 @@ def eigen_system(matrix: PCMatrix, config: EigenSolverConfig | None = None):
     reported everywhere (single source of truth for consistency indices).
     """
     config = config or DEFAULT_SOLVER
-    right, left_raw = _solve(np.stack([matrix.entries, matrix.entries.T]), config,
-                             ("right-eigenvector", "left-eigenvector"))
+    right, left_raw = _solved(matrix, config, (0, 1))
     allowed = max(1e-9, 4.0 * matrix.n * config.convergence_tol)
     gap = abs(left_raw.lambda_max - right.lambda_max) / right.lambda_max
     if gap > allowed:

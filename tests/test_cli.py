@@ -255,6 +255,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert key in err and "finite" in err
 
+    @pytest.mark.parametrize("bin_width", ["1e-320", "1e-12"])
+    def test_too_many_bins_exits_2(self, tmp_path, capsys, bin_width):
+        config = tmp_path / "sim.cfg"
+        config.write_text(f"dims=4\ndeltas=1\ncounts=100\nseed=1\nbin_width={bin_width}\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "bins" in capsys.readouterr().err
+
+    def test_overflowing_fraction_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text(f"3\n1 {10 ** 400}/3 1\n1 1 1\n1 1 1\n")
+        assert main(["weights", str(path)]) == 2
+        assert "cannot parse entry" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
         config = tmp_path / "sim.cfg"

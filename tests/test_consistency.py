@@ -4,6 +4,7 @@ import pytest
 from pcmkit import (
     MissingRiError,
     RiTable,
+    build_ri_table,
     consistency_index,
     consistency_ratio,
     consistent_from_weights,
@@ -82,6 +83,15 @@ class TestRandomIndexEstimation:
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
             estimate_random_index(4, 1000, seed=5, scale="cauchy")
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            estimate_random_index(3, 1000, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            build_ri_table([3], 1000, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            build_ri_table([], 1000, 1, workers=workers)
 
 
 class TestConsistencyRatio:

@@ -11,7 +11,7 @@ from pcmkit import (
     max_ratio,
     normalize,
 )
-from pcmkit.metrics import METRICS
+from pcmkit.metrics import METRICS, metric_blocks, record_from_vectors
 
 U = (0.5, 0.4, 0.1)
 V = (0.5, 0.3, 0.2)
@@ -168,3 +168,62 @@ class TestCompareMethods:
             assert value >= 1.0
         for value in record.values["kendall"]:
             assert -1.0 <= value <= 1.0
+
+
+def _reference_row(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """The four metrics of one pair of unit-sum rows, pair by pair."""
+    n = a.shape[0]
+    concordant = discordant = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = np.sign(a[i] - a[j]) * np.sign(b[i] - b[j])
+            concordant += int(s > 0)
+            discordant += int(s < 0)
+    d = a - b
+    r = a / b
+    return [np.sqrt(np.sum(d * d)), np.max(np.abs(d)),
+            np.max(np.maximum(r, 1.0 / r)), (concordant - discordant) / (n * (n - 1) / 2)]
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / x.sum(axis=1)[:, None]
+
+
+class TestMetricKernel:
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_bitwise_equal_to_per_row_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        batch = 64
+        right = _unit_rows(rng.uniform(1.0, 9.0, (batch, n)))
+        others = [
+            _unit_rows(right * rng.lognormal(0.0, 0.3, (batch, n))),
+            # Components drawn from three levels: many exact ties inside a row.
+            _unit_rows(rng.integers(1, 4, (batch, n)).astype(float)),
+            # Rows equal to `right` where the mask is set: zero distances.
+            np.where(rng.random((batch, 1)) < 0.25, right,
+                     _unit_rows(rng.uniform(1.0, 9.0, (batch, n)))),
+        ]
+        tied = rng.random(batch) < 0.5
+        right[tied] = _unit_rows(rng.integers(1, 3, (int(tied.sum()), n)).astype(float))
+        got = metric_blocks(right, others)
+        assert got.shape == (len(METRICS), len(others), batch)
+        for p, other in enumerate(others):
+            for k in range(batch):
+                want = np.array(_reference_row(right[k], other[k]), dtype=float)
+                assert got[:, p, k].tobytes() == want.tobytes()
+
+    def test_ties_give_sign_zero(self):
+        right = np.array([[0.25, 0.25, 0.5]])
+        other = np.array([[0.2, 0.3, 0.5]])
+        # Pair (0, 1) is tied in `right`, so only (0, 2) and (1, 2) count.
+        assert metric_blocks(right, [other])[3, 0, 0] == 2 / 3
+        assert metric_blocks(right, [right])[:, 0, 0].tolist() == [0.0, 0.0, 1.0, 2 / 3]
+
+    def test_record_is_a_batch_of_one(self):
+        rng = np.random.default_rng(9)
+        vecs = _unit_rows(rng.uniform(1.0, 9.0, (4, 7)))
+        record = record_from_vectors(*vecs, cr=0.05)
+        unit = _unit_rows(vecs)
+        block = metric_blocks(unit[None, 0], [unit[None, k] for k in (1, 2, 3)])
+        for mi, m in enumerate(METRICS):
+            assert record.values[m] == tuple(block[mi, :, 0].tolist())

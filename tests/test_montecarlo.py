@@ -80,6 +80,29 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GeneratorConfig(n=1, delta=1.0)
 
+    def test_bin_count_must_be_countable(self):
+        base = dict(dims=(4,), deltas=(1.0,), matrices_per_cell=10)
+        # A subnormal width makes cr_cap / bin_width overflow to infinity.
+        with pytest.raises(ValueError, match="bins"):
+            SimulationConfig(**base, bin_width=1e-320)
+        assert SimulationConfig(**base, bin_width=1e-12).n_bins == 500_000_000_000
+        # A bin wider than the cap still leaves one regular bin.
+        assert SimulationConfig(**base, bin_width=5e11).n_bins == 1
+
+    def test_fine_bins_run(self):
+        config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=50,
+                                  bin_width=1e-5, min_bin_count=0)
+        result = run_simulation(config, default_ri_table())
+        assert config.n_bins == 50_000
+        assert int(result.histogram.counts[(4, 1.0)].sum()) == 50
+
+    def test_bins_beyond_memory_are_refused_before_running(self, monkeypatch):
+        config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=10,
+                                  bin_width=1e-12)
+        monkeypatch.setattr("pcmkit.montecarlo.run_task", None)  # never reached
+        with pytest.raises(ValueError, match="GiB of memory"):
+            run_simulation(config, default_ri_table())
+
 
 class TestGeneratorAgainstIndependentReference:
     def test_cr_fraction_matches_reference_implementation(self):
@@ -242,6 +265,12 @@ class TestDeterminismAndMerging:
         for cell in full.histogram.counts:
             assert np.array_equal(merged.histogram.counts[cell],
                                   full.histogram.counts[cell])
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_worker_count_below_one_rejected(self, workers):
+        config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=10)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_simulation(config, default_ri_table(), workers=workers)
 
     def test_task_partition_is_stable(self):
         config = self._config()
