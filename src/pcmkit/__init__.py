@@ -32,7 +32,6 @@ from .core import (
 )
 from .errors import (
     DimensionMismatchError,
-    EmptyBinError,
     EmptyListError,
     MissingRiError,
     NoConvergenceError,
@@ -57,7 +56,6 @@ from .montecarlo import (
     GeneratorConfig,
     SimulationConfig,
     SimulationResult,
-    closest_probability,
     generate_perturbed,
     run_simulation,
 )

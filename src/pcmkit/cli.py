@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
@@ -52,8 +53,6 @@ from .weighting import (
 )
 
 WORKERS_ENV = "PCMKIT_WORKERS"
-
-_METHOD_FLAGS = ("right", "left-inverse", "rl", "rgm")
 
 
 def _round_half_away(x: float, places: int = 4) -> str:
@@ -99,27 +98,27 @@ def _ri_table_from_args(args) -> RiTable:
     return default_ri_table()
 
 
-def _method_vector(matrix: PCMatrix, method: str):
-    if method == "right":
-        return right_eigenvector(matrix).weights
-    if method == "left-inverse":
-        return inverse_left_eigenvector(matrix)
-    if method == "rl":
-        return combined_eigenvector(matrix)
-    if method == "rgm":
-        return row_geometric_mean(matrix)
-    raise ValueError(f"unknown method {method!r}")
+_METHOD_VECTORS = {
+    "right": lambda matrix: right_eigenvector(matrix).weights,
+    "left-inverse": inverse_left_eigenvector,
+    "rl": combined_eigenvector,
+    "rgm": row_geometric_mean,
+}
 
 
-def _print_weight_table(out, matrix: PCMatrix, methods, scale: Normalization) -> None:
-    header = ["method"] + [f"w{i + 1}" for i in range(matrix.n)]
-    rows = []
+def _print_table(rows) -> None:
+    """Right-aligned columns two spaces apart; the first row is the header."""
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    for r in rows:
+        print("  ".join(s.rjust(w) for s, w in zip(r, widths)))
+
+
+def _print_weight_table(matrix: PCMatrix, methods, scale: Normalization) -> None:
+    rows = [["method"] + [f"w{i + 1}" for i in range(matrix.n)]]
     for m in methods:
-        vec = _method_vector(matrix, m).rescaled(scale)
+        vec = _METHOD_VECTORS[m](matrix).rescaled(scale)
         rows.append([m] + [_round_half_away(v) for v in vec.priorities])
-    widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
-    for r in [header] + rows:
-        out.write("  ".join(s.rjust(w) for s, w in zip(r, widths)) + "\n")
+    _print_table(rows)
 
 
 def _scale_from_args(args) -> Normalization:
@@ -132,8 +131,8 @@ def _scale_from_args(args) -> Normalization:
 
 def cmd_weights(args) -> int:
     matrix = load_matrix(args.matrix, _policy_from_args(args))
-    methods = list(_METHOD_FLAGS) if args.method == "all" else [args.method]
-    _print_weight_table(sys.stdout, matrix, methods, _scale_from_args(args))
+    methods = list(_METHOD_VECTORS) if args.method == "all" else [args.method]
+    _print_weight_table(matrix, methods, _scale_from_args(args))
     return 0
 
 
@@ -154,13 +153,10 @@ def cmd_compare(args) -> int:
     record = compare_methods(matrix, _ri_table_from_args(args))
     print(f"cr = {_g12(record.cr)}")
     header = ["metric"] + [f"right_vs_{p}" for p in PAIRS] + ["rgm_closer"]
-    rows = [
+    _print_table([header] + [
         [m] + [_g12(v) for v in record.values[m]] + ["true" if record.closer[m] else "false"]
         for m in METRICS
-    ]
-    widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
-    for r in [header] + rows:
-        print("  ".join(s.rjust(w) for s, w in zip(r, widths)))
+    ])
     print(f"top_reversal = {'true' if record.top_reversal else 'false'}")
     print(f"any_reversal = {'true' if record.any_reversal else 'false'}")
     return 0
@@ -190,8 +186,9 @@ def _parse_simulation_config(path) -> tuple[SimulationConfig, str | None]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            # A comment fills a line or follows whitespace and '#'.
+            stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+            if not stripped:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
@@ -247,23 +244,16 @@ def _write_bin_csvs(out_dir: Path, result: SimulationResult) -> list[Path]:
     config = result.config
     written = []
     for metric in config.metrics:
-        pooled_path = out_dir / f"bins_{metric}.csv"
-        lines = ["n,bin_lower," + _BIN_HEADER]
-        for n in config.dims:
-            for stat in result.pooled[n]:
-                lines.append(f"{n},{_g12(stat.bin_lower)},{_bin_row(stat, metric)}")
-        pooled_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        written.append(pooled_path)
-
-        by_delta_path = out_dir / f"bins_{metric}_by_delta.csv"
-        lines = ["n,delta,bin_lower," + _BIN_HEADER]
-        for (n, delta) in sorted(result.per_delta):
-            for stat in result.per_delta[(n, delta)]:
-                lines.append(
-                    f"{n},{_g12(delta)},{_g12(stat.bin_lower)},{_bin_row(stat, metric)}"
-                )
-        by_delta_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        written.append(by_delta_path)
+        pooled = ["n,bin_lower," + _BIN_HEADER] + [
+            f"{n},{_g12(stat.bin_lower)},{_bin_row(stat, metric)}"
+            for n in config.dims for stat in result.pooled[n]]
+        by_delta = ["n,delta,bin_lower," + _BIN_HEADER] + [
+            f"{n},{_g12(delta)},{_g12(stat.bin_lower)},{_bin_row(stat, metric)}"
+            for (n, delta) in sorted(result.per_delta) for stat in result.per_delta[(n, delta)]]
+        for path, lines in ((out_dir / f"bins_{metric}.csv", pooled),
+                            (out_dir / f"bins_{metric}_by_delta.csv", by_delta)):
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+            written.append(path)
     return written
 
 
@@ -313,9 +303,9 @@ def cmd_aggregate(args) -> int:
         print("aggregated matrix (entrywise geometric mean):")
         for row in merged.entries:
             print("  " + "  ".join(f"{v:10.4f}" for v in row))
-        _print_weight_table(sys.stdout, merged, list(_METHOD_FLAGS), scale)
+        _print_weight_table(merged, list(_METHOD_VECTORS), scale)
     else:
-        vectors = [_method_vector(m, args.method) for m in matrices]
+        vectors = [_METHOD_VECTORS[args.method](m) for m in matrices]
         agg = aggregate_priorities_geometric(vectors).rescaled(scale)
         print(f"aggregated {args.method} priorities (componentwise geometric mean):")
         print("  " + "  ".join(_round_half_away(v) for v in agg.priorities))
@@ -373,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="derive priority vectors from a matrix file")
     p.add_argument("matrix")
-    p.add_argument("--method", choices=_METHOD_FLAGS + ("all",), default="all")
+    p.add_argument("--method", choices=[*_METHOD_VECTORS, "all"], default="all")
     p.add_argument("--scale", choices=("sum1", "sum100"), default="sum100")
     _add_matrix_policy_args(p)
     p.set_defaults(func=cmd_weights)
@@ -411,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrices", nargs="+")
     p.add_argument("--mode", choices=("aij", "aip"), required=True,
                    help="aij: aggregate matrices then weight; aip: weight then aggregate priorities")
-    p.add_argument("--method", choices=_METHOD_FLAGS, default="right",
+    p.add_argument("--method", choices=list(_METHOD_VECTORS), default="right",
                    help="weighting used per matrix in aip mode")
     p.add_argument("--scale", choices=("sum1", "sum100"), default="sum100")
     _add_matrix_policy_args(p)

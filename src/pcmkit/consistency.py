@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from ._power import power_iterate
-from .core import PCMatrix
+from .core import PCMatrix, reciprocal_from_upper
 from .errors import MissingRiError, NoConvergenceError
 from .weighting import EigenSolverConfig, right_eigenvector
 
@@ -149,21 +149,25 @@ class ConsistencyReport:
     acceptable: bool
 
 
-def _clamp_ci(raw: float) -> float:
-    return 0.0 if abs(raw) < _CI_NOISE_FLOOR else raw
+def _ci_cr(lam, n: int, ri: float = 1.0):
+    """(CI, CR) of dominant eigenvalues of order-n matrices, for one value
+    or an array of them: CI = (lam - n) / (n - 1), noise-clamped at zero,
+    and CR = CI / RI."""
+    ci = (lam - n) / (n - 1)
+    ci = np.where(np.abs(ci) < _CI_NOISE_FLOOR, 0.0, ci)
+    return ci, ci / ri
 
 
 def consistency_index(matrix: PCMatrix, config: EigenSolverConfig | None = None) -> float:
     """CI = (lambda_max - n) / (n - 1), noise-clamped at zero."""
     lam = right_eigenvector(matrix, config).lambda_max
-    return _clamp_ci((lam - matrix.n) / (matrix.n - 1))
+    return float(_ci_cr(lam, matrix.n)[0])
 
 
 def report_from_lambda(n: int, lambda_max: float, ri_table: RiTable) -> ConsistencyReport:
     """Build the consistency verdict from an already computed eigenvalue."""
     ri = ri_table.ri(n)
-    ci = _clamp_ci((lambda_max - n) / (n - 1))
-    cr = ci / ri
+    ci, cr = (float(x) for x in _ci_cr(lambda_max, n, ri))
     return ConsistencyReport(
         n=n, lambda_max=lambda_max, ci=ci, ri=ri,
         ri_source=ri_table.provenance_of(n), cr=cr, acceptable=cr <= 0.1,
@@ -187,10 +191,7 @@ def _random_reciprocal_batch(n: int, count: int, rng: np.random.Generator,
         upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(count, len(iu))))
     else:
         raise ValueError(f"unknown scale {scale!r}; expected 'saaty' or 'log-uniform'")
-    mats = np.ones((count, n, n))
-    mats[:, iu, ju] = upper
-    mats[:, ju, iu] = 1.0 / upper
-    return mats
+    return reciprocal_from_upper(upper, n)
 
 
 def _ri_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -> float:
@@ -210,6 +211,21 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
+def _chunk_sizes(total: int, size: int) -> list[int]:
+    """`total` split into chunks of `size`, the last one possibly shorter."""
+    return [min(size, total - start) for start in range(0, total, size)]
+
+
+def _ordered_map(task, args: list[tuple], workers: int) -> list:
+    """[task(*a) for a in args], in that order, on a pool of `workers`
+    processes when there is more than one."""
+    _check_workers(workers)
+    if workers == 1:
+        return [task(*a) for a in args]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, *zip(*args)))
+
+
 def estimate_random_index(n: int, samples: int, seed: int, *,
                           scale: str = "saaty", workers: int = 1) -> float:
     """Mean CI of randomly filled reciprocal matrices of order n.
@@ -222,25 +238,12 @@ def estimate_random_index(n: int, samples: int, seed: int, *,
     chunk k is seeded by (seed, k), and the chunk sums are combined in
     chunk order.
     """
-    _check_workers(workers)
     if n < 3:
         raise ValueError(f"random index needs n >= 3, got {n}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a random index, got {samples}")
-    sizes = [_RI_CHUNK] * (samples // _RI_CHUNK)
-    if samples % _RI_CHUNK:
-        sizes.append(samples % _RI_CHUNK)
-    args = [(n, size, seed, k, scale) for k, size in enumerate(sizes)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(_ri_chunk_sum_star, args))
-    else:
-        sums = [_ri_chunk_sum(*a) for a in args]
-    return float(sum(sums) / samples)
-
-
-def _ri_chunk_sum_star(args) -> float:
-    return _ri_chunk_sum(*args)
+    args = [(n, size, seed, k, scale) for k, size in enumerate(_chunk_sizes(samples, _RI_CHUNK))]
+    return float(sum(_ordered_map(_ri_chunk_sum, args, workers)) / samples)
 
 
 def build_ri_table(orders, samples: int, base_seed: int, *,

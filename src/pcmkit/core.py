@@ -93,10 +93,10 @@ class PCMatrix:
     safe to share across concurrent workers.
 
     `_eigen` is private to `weighting`: it memoizes the Perron pairs of
-    this instance and of its transpose per solver config.  It takes no
-    part in equality or repr, and is neither pickled nor copied.  Threads
-    that race on an empty memo may each solve; they store equal,
-    immutable results.
+    this instance and of its transpose, and the vectors derived from them,
+    per solver config.  It takes no part in equality or repr, and is
+    neither pickled nor copied.  Threads that race on an empty memo may
+    each solve; they store equal, immutable results.
     """
 
     entries: np.ndarray
@@ -185,6 +185,18 @@ def _check_positive(a: np.ndarray) -> None:
         raise NonPositiveEntryError(int(i), int(j), float(a[i, j]))
 
 
+def reciprocal_from_upper(upper, n: int) -> np.ndarray:
+    """(..., n, n) matrices from their upper-triangle entries, given in
+    row-major order along the last axis: each lower entry is the reciprocal
+    of its mirror and the diagonal is one."""
+    upper = np.asarray(upper, dtype=float)
+    iu, ju = np.triu_indices(n, 1)
+    mats = np.ones(upper.shape[:-1] + (n, n))
+    mats[..., iu, ju] = upper
+    mats[..., ju, iu] = 1.0 / upper
+    return mats
+
+
 def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
     """Validate raw judgments into a PCMatrix under a reciprocity policy.
 
@@ -210,23 +222,16 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
         if bad.any():
             k = int(np.argmax(bad))
             raise NonPositiveEntryError(int(iu[k]), int(ju[k]), float(upper[k]))
-        repaired = np.ones((n, n))
-        repaired[iu, ju] = upper
-        repaired[ju, iu] = 1.0 / upper
-        return PCMatrix(repaired)
+        return PCMatrix(reciprocal_from_upper(upper, n))
 
-    _check_positive(a)
-    diag = np.diag(a)
-    if not np.all(diag == 1.0):
-        i = int(np.argmax(diag != 1.0))
-        raise ReciprocityViolationError(i, i, float(diag[i] * diag[i] - 1.0))
-    residual = a * a.T - 1.0
-    worst = np.abs(residual)
-    np.fill_diagonal(worst, 0.0)
+    # The constructor checks positivity, the diagonal and the hard bound;
+    # only the policy's tighter tolerance is left.
+    checked = PCMatrix(a)
+    worst = np.abs(a * a.T - 1.0)
     if worst.max() > policy.tolerance:
         i, j = np.unravel_index(int(np.argmax(worst)), worst.shape)
-        raise ReciprocityViolationError(int(i), int(j), float(residual[i, j]))
-    return PCMatrix(a)
+        raise ReciprocityViolationError(int(i), int(j), float(a[i, j] * a[j, i] - 1.0))
+    return checked
 
 
 def consistent_from_weights(weights) -> PCMatrix:

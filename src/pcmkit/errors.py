@@ -62,7 +62,3 @@ class MissingRiError(PcmError):
     def __init__(self, n: int):
         self.n = n
         super().__init__(f"no random index available for n = {n}")
-
-
-class EmptyBinError(PcmError):
-    """A statistic was requested for a bin holding no records."""

@@ -13,10 +13,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .consistency import ConsistencyReport, RiTable, default_ri_table, report_from_lambda
+from .consistency import RiTable, _ci_cr, default_ri_table
 from .core import PCMatrix, WeightVector
 from .errors import DimensionMismatchError
-from .weighting import EigenSolverConfig, eigen_system, row_geometric_mean
+from .weighting import DEFAULT_SOLVER, EigenSolverConfig, _vectors, eigen_system
 
 METRICS = ("euclidean", "chebyshev", "max_ratio", "kendall")
 
@@ -30,35 +30,35 @@ _sum = np.add.reduce
 _max = np.maximum.reduce
 
 
-def _unit_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    a = u.unit() if isinstance(u, WeightVector) else np.asarray(u, dtype=float)
-    b = v.unit() if isinstance(v, WeightVector) else np.asarray(v, dtype=float)
-    if not isinstance(u, WeightVector):
-        a = a / a.sum()
-    if not isinstance(v, WeightVector):
-        b = b / b.sum()
+def _unit(x) -> np.ndarray:
+    if isinstance(x, WeightVector):
+        return x.unit()
+    a = np.asarray(x, dtype=float)
+    return a / a.sum()
+
+
+def _metric(index: int, u, v) -> float:
+    """Metric METRICS[index] between two vectors: `metric_blocks` on a
+    batch of one, after each vector is brought to unit sum."""
+    a, b = _unit(u), _unit(v)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    return a, b
+    return float(metric_blocks(a[None], (b[None],))[index, 0, 0])
 
 
 def euclidean(u, v) -> float:
     """Length of the line segment between two unit-sum vectors."""
-    a, b = _unit_pair(u, v)
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+    return _metric(0, u, v)
 
 
 def chebyshev(u, v) -> float:
     """Greatest componentwise absolute difference."""
-    a, b = _unit_pair(u, v)
-    return float(np.max(np.abs(a - b)))
+    return _metric(1, u, v)
 
 
 def max_ratio(u, v) -> float:
     """Largest of u_i/v_i and v_i/u_i over all components; 1 iff equal."""
-    a, b = _unit_pair(u, v)
-    r = a / b
-    return float(np.max(np.maximum(r, 1.0 / r)))
+    return _metric(2, u, v)
 
 
 def kendall_tau(u, v) -> float:
@@ -68,16 +68,7 @@ def kendall_tau(u, v) -> float:
     and discordant when they disagree; exact ties count as neither and the
     denominator is not corrected for them.
     """
-    a, b = _unit_pair(u, v)
-    n = a.shape[0]
-    du = np.sign(a[:, None] - a[None, :])
-    dv = np.sign(b[:, None] - b[None, :])
-    prod = du * dv
-    iu, ju = np.triu_indices(n, 1)
-    upper = prod[iu, ju]
-    concordant = int(np.sum(upper > 0))
-    discordant = int(np.sum(upper < 0))
-    return (concordant - discordant) / (n * (n - 1) / 2)
+    return _metric(3, u, v)
 
 
 # Ties count as "at least as close".  Where the compared vectors coincide
@@ -140,37 +131,50 @@ def metric_blocks(right: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray
     return out
 
 
+def comparison_flags(values: np.ndarray, right: np.ndarray,
+                     inverse_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(closer, top) of a batch from `metric_blocks(right, (inverse_left,
+    combined, rgm))`: closer[m, k] when the RGM of row k is at least as close
+    as its inverse-left vector under metric m, top[k] when the right and
+    inverse-left vectors of row k rank different alternatives first."""
+    closer = np.array([rgm_at_least_as_close(m, values[mi, 2], values[mi, 0])
+                       for mi, m in enumerate(METRICS)])
+    top = np.argmax(right, axis=1) != np.argmax(inverse_left, axis=1)
+    return closer, top
+
+
 def record_from_vectors(right: np.ndarray, inverse_left: np.ndarray,
                         combined: np.ndarray, rgm: np.ndarray,
                         cr: float) -> ComparisonRecord:
     """Assemble a ComparisonRecord from already computed unit-sum vectors.
 
-    Each vector is renormalized to unit sum once, then scored by
-    `metric_blocks` as a batch of one.
+    The vectors are scored as given, with no renormalization, by
+    `metric_blocks` and `comparison_flags` on a batch of one: the same
+    arithmetic the simulation applies to a batch.
     """
-    vecs = np.stack([right, inverse_left, combined, rgm])
-    vecs = vecs / vecs.sum(axis=1)[:, None]
-    block = metric_blocks(vecs[None, 0], (vecs[None, 1], vecs[None, 2], vecs[None, 3]))
-    values = {m: tuple(float(x) for x in block[mi, :, 0]) for mi, m in enumerate(METRICS)}
-    closer = {m: bool(rgm_at_least_as_close(m, values[m][2], values[m][0])) for m in METRICS}
-    top_reversal = int(np.argmax(right)) != int(np.argmax(inverse_left))
+    block = metric_blocks(right[None], (inverse_left[None], combined[None], rgm[None]))
+    closer, top = comparison_flags(block, right[None], inverse_left[None])
     d_r = np.sign(right[:, None] - right[None, :])
     d_l = np.sign(inverse_left[:, None] - inverse_left[None, :])
-    any_reversal = bool(np.any(d_r * d_l < 0))
-    return ComparisonRecord(cr=cr, values=values, closer=closer,
-                            top_reversal=top_reversal, any_reversal=any_reversal)
+    return ComparisonRecord(
+        cr=cr,
+        values={m: tuple(float(x) for x in block[mi, :, 0]) for mi, m in enumerate(METRICS)},
+        closer={m: bool(closer[mi, 0]) for mi, m in enumerate(METRICS)},
+        top_reversal=bool(top[0]),
+        any_reversal=bool(np.any(d_r * d_l < 0)),
+    )
 
 
 def compare_methods(matrix: PCMatrix, ri_table: RiTable | None = None,
                     config: EigenSolverConfig | None = None) -> ComparisonRecord:
-    """Evaluate all four metrics for one matrix against all three vectors."""
+    """Evaluate all four metrics for one matrix against all three vectors.
+
+    Bit for bit the record the simulation computes for the same matrix.
+    """
     table = ri_table if ri_table is not None else default_ri_table()
-    right, left = eigen_system(matrix, config)
-    wr = right.weights.priorities
-    inv = 1.0 / left.weights.priorities
-    inv = inv / inv.sum()
-    combined = wr * inv
-    combined = combined / combined.sum()
-    rgm = row_geometric_mean(matrix).priorities
-    report: ConsistencyReport = report_from_lambda(matrix.n, right.lambda_max, table)
-    return record_from_vectors(wr, inv, combined, rgm, report.cr)
+    config = config or DEFAULT_SOLVER
+    right, _ = eigen_system(matrix, config)
+    inverse_left, combined, rgm = _vectors(matrix, config)
+    _, cr = _ci_cr(right.lambda_max, matrix.n, table.ri(matrix.n))
+    return record_from_vectors(right.weights.priorities, inverse_left[0], combined[0],
+                               rgm[0], float(cr))

@@ -17,24 +17,17 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._power import power_iterate
-from .consistency import _CI_NOISE_FLOOR, RiTable, _check_workers, default_ri_table
+from .consistency import RiTable, _chunk_sizes, _ci_cr, _ordered_map, default_ri_table
 from .core import PCMatrix
-from .errors import EmptyBinError, NoConvergenceError
-from .metrics import (
-    METRICS,
-    ComparisonRecord,
-    metric_blocks,
-    record_from_vectors,
-    rgm_at_least_as_close,
-)
-from .weighting import DEFAULT_SOLVER, EigenSolverConfig
+from .errors import NoConvergenceError
+from .metrics import METRICS, comparison_flags, metric_blocks
+from .weighting import DEFAULT_SOLVER, EigenSolverConfig, _vector_rows
 
 _BATCH = 8192
 
@@ -204,6 +197,9 @@ def perturbed_batch(config: GeneratorConfig, rng: np.random.Generator,
     folded = 1.0 / (1.0 - eps - (base - 1.0))
     perturbed = np.where(below, folded, shifted)
 
+    # Not core.reciprocal_from_upper: where the lower entry was perturbed it
+    # is stored as `perturbed` itself, which 1 / (1 / perturbed) need not
+    # reproduce bit for bit.
     mats[:, iu, ju] = np.where(use_upper, perturbed, 1.0 / perturbed)
     mats[:, ju, iu] = np.where(use_upper, 1.0 / perturbed, perturbed)
     ii = np.arange(n)
@@ -230,55 +226,12 @@ def batch_vectors(mats: np.ndarray, solver: EigenSolverConfig):
     Returns (right, inverse_left, combined, rgm, lam, ok) where ok flags
     rows whose two eigen runs both converged and agree on the eigenvalue.
     """
-    n = mats.shape[1]
     tol, max_iter = solver.convergence_tol, solver.max_iterations
     wr, lam_r, _, _, conv_r = power_iterate(mats, tol, max_iter)
     transposed = np.ascontiguousarray(mats.transpose(0, 2, 1))
     wl, lam_l, _, _, conv_l = power_iterate(transposed, tol, max_iter)
-    allowed = max(1e-9, 4.0 * n * tol)
-    agree = np.abs(lam_l - lam_r) <= allowed * lam_r
-    ok = conv_r & conv_l & agree
-
-    inv = 1.0 / wl
-    inv /= inv.sum(axis=1)[:, None]
-    combined = wr * inv
-    combined /= combined.sum(axis=1)[:, None]
-    rgm = np.exp(np.log(mats).mean(axis=2))
-    rgm /= rgm.sum(axis=1)[:, None]
-    return wr, inv, combined, rgm, lam_r, ok
-
-
-def records_for_matrices(mats: np.ndarray, ri: float,
-                         solver: EigenSolverConfig | None = None) -> list[ComparisonRecord]:
-    """Per-matrix comparison records for a stack sharing one matrix order."""
-    solver = solver or DEFAULT_SOLVER
-    wr, inv, combined, rgm, lam, ok = batch_vectors(np.asarray(mats, dtype=float), solver)
-    if not ok.all():
-        bad = int(np.argmax(~ok))
-        raise NoConvergenceError(solver.max_iterations, float("nan"),
-                                 f"matrix {bad} of the batch failed to converge")
-    n = mats.shape[1]
-    cr = _cr_from_lambda(lam, n, ri)
-    return [
-        record_from_vectors(wr[k], inv[k], combined[k], rgm[k], float(cr[k]))
-        for k in range(mats.shape[0])
-    ]
-
-
-def _cr_from_lambda(lam: np.ndarray, n: int, ri: float) -> np.ndarray:
-    ci = (lam - n) / (n - 1)
-    ci = np.where(np.abs(ci) < _CI_NOISE_FLOOR, 0.0, ci)
-    return ci / ri
-
-
-def closest_probability(records: Sequence[ComparisonRecord], metric: str) -> float:
-    """Share of records whose row geometric mean is at least as close to the
-    right eigenvector as the inverse-left vector under the given metric."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    if not records:
-        raise EmptyBinError(f"no records to aggregate for metric {metric!r}")
-    return float(np.mean([r.closer[metric] for r in records]))
+    inv, combined, rgm, agree = _vector_rows(mats, wr, wl, lam_r, lam_l, tol)
+    return wr, inv, combined, rgm, lam_r, conv_r & conv_l & agree
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +263,9 @@ class TaskPartial:
 def simulation_tasks(config: SimulationConfig) -> list[SimTask]:
     """Deterministic task list: fixed-size batches per cell, independent of
     how many workers later execute them."""
-    tasks = []
-    for cell_index, (n, delta) in enumerate(config.cells()):
-        remaining = config.matrices_per_cell
-        batch_index = 0
-        while remaining > 0:
-            count = min(_BATCH, remaining)
-            tasks.append(SimTask(cell_index, n, delta, batch_index, count))
-            remaining -= count
-            batch_index += 1
-    return tasks
+    return [SimTask(cell_index, n, delta, batch_index, count)
+            for cell_index, (n, delta) in enumerate(config.cells())
+            for batch_index, count in enumerate(_chunk_sizes(config.matrices_per_cell, _BATCH))]
 
 
 def run_task(config: SimulationConfig, task: SimTask, ri: float,
@@ -337,16 +283,13 @@ def run_task(config: SimulationConfig, task: SimTask, ri: float,
     if nonconverged:
         wr, inv, combined, rgm, lam = (a[ok] for a in (wr, inv, combined, rgm, lam))
 
-    cr = _cr_from_lambda(lam, task.n, ri)
+    _, cr = _ci_cr(lam, task.n, ri)
     nb = config.n_bins
     bins = np.minimum((cr / config.bin_width).astype(np.int64), nb - 1)
     bins = np.where(cr >= config.cr_cap, nb, bins)
 
     values = metric_blocks(wr, (inv, combined, rgm))
-    closer_flags = np.empty((len(METRICS), wr.shape[0]), dtype=bool)
-    for mi, m in enumerate(METRICS):
-        closer_flags[mi] = rgm_at_least_as_close(m, values[mi, 2], values[mi, 0])
-    top_rev = np.argmax(wr, axis=1) != np.argmax(inv, axis=1)
+    closer_flags, top_rev = comparison_flags(values, wr, inv)
 
     counts = np.bincount(bins, minlength=nb + 1).astype(np.int64)
     sums = np.empty((len(METRICS), _PAIR_COUNT, nb + 1))
@@ -361,28 +304,18 @@ def run_task(config: SimulationConfig, task: SimTask, ri: float,
                        counts, sums, closer, top, nonconverged)
 
 
-def _run_task_star(args) -> TaskPartial:
-    return run_task(*args)
-
-
 class _CellAccumulator:
     def __init__(self, nb: int):
         self.counts = np.zeros(nb + 1, dtype=np.int64)
         self.sums = np.zeros((len(METRICS), _PAIR_COUNT, nb + 1))
         self.closer = np.zeros((len(METRICS), nb + 1), dtype=np.int64)
-        self.top = np.zeros(nb + 1, dtype=np.int64)
+        self.top_reversals = np.zeros(nb + 1, dtype=np.int64)
 
-    def add(self, p: TaskPartial) -> None:
-        self.counts += p.counts
-        self.sums += p.sums
-        self.closer += p.closer
-        self.top += p.top_reversals
-
-    def merge(self, other: "_CellAccumulator") -> None:
+    def add(self, other: "TaskPartial | _CellAccumulator") -> None:
         self.counts += other.counts
         self.sums += other.sums
         self.closer += other.closer
-        self.top += other.top
+        self.top_reversals += other.top_reversals
 
 
 def _bin_statistics(acc: _CellAccumulator, config: SimulationConfig, n: int,
@@ -408,7 +341,7 @@ def _bin_statistics(acc: _CellAccumulator, config: SimulationConfig, n: int,
             count=count,
             means=means,
             closer_probability=closer_probability,
-            top_reversal_rate=float(acc.top[b] / count),
+            top_reversal_rate=float(acc.top_reversals[b] / count),
             suppressed=count < config.min_bin_count,
             overflow=is_overflow,
         ))
@@ -432,12 +365,9 @@ def reduce_partials(config: SimulationConfig,
         per_cell[(p.n, p.delta)].add(p)
         nonconverged += p.nonconverged
 
-    pooled_acc: dict[int, _CellAccumulator] = {}
-    for n in config.dims:
-        acc = _CellAccumulator(nb)
-        for d in config.deltas:
-            acc.merge(per_cell[(n, d)])
-        pooled_acc[n] = acc
+    pooled_acc = {n: _CellAccumulator(nb) for n in config.dims}
+    for (n, _), acc in per_cell.items():  # deltas in sorted order
+        pooled_acc[n].add(acc)
 
     histogram = CrHistogram(
         bin_width=config.bin_width,
@@ -482,18 +412,12 @@ def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
     such failure aborts the run with an error carrying the count; positive
     matrices are not expected to fail at all.
     """
-    _check_workers(workers)
     table = ri_table if ri_table is not None else default_ri_table()
     ris = {n: table.ri(n) for n in config.dims}
     tasks = simulation_tasks(config)
     _check_bin_memory(config, len(tasks))
     args = [(config, t, ris[t.n], solver) for t in tasks]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_task_star, args, chunksize=1))
-    else:
-        partials = [run_task(*a) for a in args]
-    result = reduce_partials(config, partials)
+    result = reduce_partials(config, _ordered_map(run_task, args, workers))
     if result.nonconverged:
         raise NoConvergenceError(
             (solver or DEFAULT_SOLVER).max_iterations, float("nan"),

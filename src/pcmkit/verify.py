@@ -25,6 +25,7 @@ from .weighting import (
     aggregate_matrices_geometric,
     aggregate_priorities_geometric,
     eigen_system,
+    inverse_left_eigenvector,
     right_eigenvector,
 )
 
@@ -52,8 +53,7 @@ class _CaseContext:
 
     @cached_property
     def inverse_left100(self) -> np.ndarray:
-        inv = 1.0 / self.eigen[1].weights.priorities
-        return inv / inv.sum() * 100.0
+        return inverse_left_eigenvector(self.matrix, self.config).priorities * 100.0
 
     @cached_property
     def cr(self) -> float:

@@ -6,25 +6,30 @@ vector), the row geometric mean, and the two geometric aggregation schemes
 for group judgments: entrywise aggregation of matrices and componentwise
 aggregation of priority vectors.
 
+The inverse-left, combined and row-geometric-mean vectors and the left/right
+eigenvalue check have one derivation, `_vector_rows`, which the simulation
+runs on a batch and every function here on a batch of one: a matrix gets
+the same bits alone as in a simulation batch.
+
 Every function of the eigenvector family reads one memo per `PCMatrix`
-instance and solver config, holding the Perron vectors of the matrix and
-of its transpose.  Each is solved at most once, when first asked for:
-`right_eigenvector` (and the consistency indices built on it) solves the
-matrix alone, and `eigen_system` solves whatever is missing in one power
-iteration call, both rows on a fresh matrix.  A row's bits do not depend
-on what shares the call, so the order of the calls changes no result.
-The memo lives and dies with the instance; no cache is shared between
-matrices, so two matrices with equal entries each solve their own.
+instance and solver config, holding the raw Perron rows of the matrix and
+of its transpose and the vectors derived from them.  Each row is solved at
+most once, when first asked for: `right_eigenvector` (and the consistency
+indices built on it) solves the matrix alone, and the other functions solve
+whatever is missing in one power iteration call.  A row's bits do not
+depend on what shares the call, so the order of the calls changes no
+result.  The memo lives and dies with the instance; no cache is shared
+between matrices, so two matrices with equal entries each solve their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._power import power_iterate
-from .core import Normalization, PCMatrix, WeightVector, normalize
+from .core import Normalization, PCMatrix, WeightVector, normalize, reciprocal_from_upper
 from .errors import DimensionMismatchError, EmptyListError, NoConvergenceError
 
 
@@ -68,13 +73,37 @@ class EigenResult:
 _ROW_METHODS = ("right-eigenvector", "left-eigenvector")
 
 
+# The ufunc reduction behind ndarray.sum and .mean, called directly as in
+# `_power`: on a batch of one the wrappers cost as much as the arithmetic.
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.add.reduce(x, axis=1, keepdims=True)
+
+
+def _rgm_rows(mats: np.ndarray) -> np.ndarray:
+    """Unit-sum row geometric means of every matrix in a (B, n, n) stack."""
+    return _unit_rows(np.exp(np.add.reduce(np.log(mats), axis=2) / mats.shape[2]))
+
+
+def _vector_rows(mats: np.ndarray, right: np.ndarray, left: np.ndarray,
+                 lam_right: np.ndarray, lam_left: np.ndarray, tol: float):
+    """Inverse-left, combined and row-geometric-mean rows of a (B, n, n)
+    stack from its right and left rows and eigenvalues as `power_iterate`
+    returns them, and whether each matrix's two eigenvalues agree."""
+    n = mats.shape[1]
+    agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * n * tol) * lam_right
+    inverse_left = _unit_rows(1.0 / left)
+    combined = _unit_rows(right * inverse_left)
+    return inverse_left, combined, _rgm_rows(mats), agree
+
+
 def _solved(matrix: PCMatrix, config: EigenSolverConfig, rows: tuple[int, ...]) -> list:
     """Memoized eigenpairs of the matrix (row 0) and its transpose (row 1).
 
     Rows not yet in the matrix's memo for this config are solved in one
-    power-iteration call and stored: an EigenResult for a converged row,
-    (iterations, residual) for one that blew the budget, so every caller
-    raises its own error.  The memo lives and dies with the instance.
+    power-iteration call and stored as returned, unrenormalized: an
+    EigenResult for a converged row, (iterations, residual) for one that
+    blew the budget, so every caller raises its own error.  The memo lives
+    and dies with the instance.
     """
     memo = matrix._eigen.setdefault(config, {})
     missing = [k for k in rows if k not in memo]
@@ -86,8 +115,7 @@ def _solved(matrix: PCMatrix, config: EigenSolverConfig, rows: tuple[int, ...]) 
         )
         for i, k in enumerate(missing):
             memo[k] = (
-                EigenResult(WeightVector(w[i] / w[i].sum(), Normalization.SUM_ONE,
-                                         _ROW_METHODS[k]),
+                EigenResult(WeightVector(w[i], Normalization.SUM_ONE, _ROW_METHODS[k]),
                             float(lam[i]), int(iters[i]), float(resid[i]))
                 if conv[i] else (int(iters[i]), float(resid[i]))
             )
@@ -98,6 +126,28 @@ def _converged(row) -> EigenResult:
     if isinstance(row, EigenResult):
         return row
     raise NoConvergenceError(*row)
+
+
+def _vectors(matrix: PCMatrix, config: EigenSolverConfig):
+    """Memoized (1, n) inverse-left, combined and row-geometric-mean rows
+    of the matrix: `_vector_rows` on a batch of one.  Raises
+    NoConvergenceError when the left and right eigenvalues disagree."""
+    memo = matrix._eigen.setdefault(config, {})
+    if "vectors" not in memo:
+        right, left = _solved(matrix, config, (0, 1))
+        *rows, agree = _vector_rows(
+            matrix.entries[None], right.weights.priorities[None],
+            left.weights.priorities[None], np.array([right.lambda_max]),
+            np.array([left.lambda_max]), config.convergence_tol,
+        )
+        if not agree[0]:
+            gap = abs(left.lambda_max - right.lambda_max) / right.lambda_max
+            raise NoConvergenceError(
+                left.iterations, left.residual,
+                f"left/right eigenvalue estimates disagree by {gap:.3e} relative",
+            )
+        memo["vectors"] = rows
+    return memo["vectors"]
 
 
 def right_eigenvector(matrix: PCMatrix, config: EigenSolverConfig | None = None) -> EigenResult:
@@ -117,18 +167,9 @@ def eigen_system(matrix: PCMatrix, config: EigenSolverConfig | None = None):
     reported everywhere (single source of truth for consistency indices).
     """
     config = config or DEFAULT_SOLVER
-    right, left_raw = _solved(matrix, config, (0, 1))
-    allowed = max(1e-9, 4.0 * matrix.n * config.convergence_tol)
-    gap = abs(left_raw.lambda_max - right.lambda_max) / right.lambda_max
-    if gap > allowed:
-        raise NoConvergenceError(
-            left_raw.iterations,
-            left_raw.residual,
-            f"left/right eigenvalue estimates disagree by {gap:.3e} relative",
-        )
-    left = EigenResult(left_raw.weights, right.lambda_max,
-                       left_raw.iterations, left_raw.residual)
-    return right, left
+    _vectors(matrix, config)  # runs the eigenvalue agreement check
+    right, left = _solved(matrix, config, (0, 1))
+    return right, replace(left, lambda_max=right.lambda_max)
 
 
 def left_eigenvector(matrix: PCMatrix, config: EigenSolverConfig | None = None) -> EigenResult:
@@ -144,26 +185,15 @@ def inverse_left_eigenvector(matrix: PCMatrix,
     Coincides with the right eigenvector exactly for consistent matrices
     and for every matrix with three alternatives.
     """
-    _, left = eigen_system(matrix, config)
-    inv = 1.0 / left.weights.priorities
-    return WeightVector(inv / inv.sum(), Normalization.SUM_ONE, "inverse-left-eigenvector")
+    inverse_left = _vectors(matrix, config or DEFAULT_SOLVER)[0]
+    return WeightVector(inverse_left[0], Normalization.SUM_ONE, "inverse-left-eigenvector")
 
 
-def combined_eigenvector(matrix: PCMatrix, config: EigenSolverConfig | None = None,
-                         *, geometric_mean: bool = False) -> WeightVector:
-    """Componentwise product of the right and inverse-left vectors, renormalized.
-
-    With geometric_mean=True the square root of the product is taken
-    before renormalizing; the ranking is identical either way, only the
-    normalized values differ.
-    """
-    right, left = eigen_system(matrix, config)
-    inv = 1.0 / left.weights.priorities
-    combined = right.weights.priorities * (inv / inv.sum())
-    if geometric_mean:
-        combined = np.sqrt(combined)
-    return WeightVector(combined / combined.sum(), Normalization.SUM_ONE,
-                        "combined-eigenvector")
+def combined_eigenvector(matrix: PCMatrix,
+                         config: EigenSolverConfig | None = None) -> WeightVector:
+    """Componentwise product of the right and inverse-left vectors, renormalized."""
+    combined = _vectors(matrix, config or DEFAULT_SOLVER)[1]
+    return WeightVector(combined[0], Normalization.SUM_ONE, "combined-eigenvector")
 
 
 def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
@@ -172,9 +202,8 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
     Closed form, no iteration; this is the optimum of the logarithmic
     least squares problem.
     """
-    logs = np.log(matrix.entries)
-    w = np.exp(logs.mean(axis=1))
-    return WeightVector(w / w.sum(), Normalization.SUM_ONE, "row-geometric-mean")
+    return WeightVector(_rgm_rows(matrix.entries[None])[0], Normalization.SUM_ONE,
+                        "row-geometric-mean")
 
 
 def aggregate_matrices_geometric(matrices) -> PCMatrix:
@@ -192,11 +221,7 @@ def aggregate_matrices_geometric(matrices) -> PCMatrix:
             raise DimensionMismatchError(f"matrix orders differ: {m.n} != {n}")
     mean_log = np.mean([np.log(m.entries) for m in mats], axis=0)
     iu, ju = np.triu_indices(n, 1)
-    upper = np.exp(mean_log[iu, ju])
-    agg = np.ones((n, n))
-    agg[iu, ju] = upper
-    agg[ju, iu] = 1.0 / upper
-    return PCMatrix(agg)
+    return PCMatrix(reciprocal_from_upper(np.exp(mean_log[iu, ju]), n))
 
 
 def aggregate_priorities_geometric(vectors) -> WeightVector:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcmkit import RiTable, validate
-from pcmkit.core import STRICT_FILE_POLICY
+from pcmkit.core import STRICT_FILE_POLICY, reciprocal_from_upper
 from pcmkit.verify import CASES
 
 
@@ -53,11 +53,8 @@ def judge_pair():
 def random_reciprocal(n: int, rng: np.random.Generator):
     """Random reciprocal matrix with log-uniform entries in [1/9, 9]."""
     upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(n, n)))
-    a = np.ones((n, n))
     iu, ju = np.triu_indices(n, 1)
-    a[iu, ju] = upper[iu, ju]
-    a[ju, iu] = 1.0 / upper[iu, ju]
-    return validate(a, STRICT_FILE_POLICY)
+    return validate(reciprocal_from_upper(upper[iu, ju], n), STRICT_FILE_POLICY)
 
 
 @pytest.fixture(scope="session")

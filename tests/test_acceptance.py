@@ -22,6 +22,7 @@ from pcmkit import (
     run_verification,
 )
 from pcmkit.cli import main
+from pcmkit.core import reciprocal_from_upper
 from pcmkit.montecarlo import batch_vectors
 from pcmkit.weighting import DEFAULT_SOLVER
 
@@ -130,11 +131,8 @@ def test_criterion_04_three_alternative_reciprocity():
     started = time.perf_counter()
     rng = np.random.default_rng(404)
     count, n = 10_000, 3
-    iu, ju = np.triu_indices(n, 1)
-    upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(count, len(iu))))
-    mats = np.ones((count, n, n))
-    mats[:, iu, ju] = upper
-    mats[:, ju, iu] = 1.0 / upper
+    upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(count, n * (n - 1) // 2)))
+    mats = reciprocal_from_upper(upper, n)
     wr, inv, _, _, _, ok_mask = batch_vectors(mats, DEFAULT_SOLVER)
     worst = float(np.max(np.abs(inv - wr)))
     elapsed = time.perf_counter() - started

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pcmkit import format_matrix_text
-from pcmkit.cli import WORKERS_ENV, main
+from pcmkit.cli import WORKERS_ENV, _parse_simulation_config, main
 
 FIVE_ALT_TEXT = """5
 1    1    3    9  9
@@ -228,6 +230,26 @@ class TestSimulateCommand:
                 count, mean = by_key[(n, round(stat.bin_lower / 0.005))]
                 assert count == stat.count
                 assert mean == pytest.approx(stat.means["euclidean"][0], rel=1e-11)
+
+    def test_readme_config_example_parses_as_printed(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Simulation config format", 1)[1]
+        block = section.split("```\n", 2)[1]
+        path = tmp_path / "sim.cfg"
+        path.write_text(block, encoding="utf-8")
+        config, ri_path = _parse_simulation_config(path)
+        assert (config.dims, config.deltas, config.matrices_per_cell, config.seed) == \
+            ((4, 5, 6), (1.0, 2.0, 3.0), 100_000, 42)
+        assert (config.bin_width, config.min_bin_count, config.cr_cap) == (0.005, 1000, 0.5)
+        assert ri_path == "ri.txt"
+
+    def test_inline_comment_needs_whitespace_before_hash(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("dims=4 # orders\n  # indented comment\ndeltas=1\t#\n"
+                        "counts=10\nseed=1\nri_table=a#b.txt\n", encoding="utf-8")
+        config, ri_path = _parse_simulation_config(path)
+        assert (config.dims, config.deltas) == ((4,), (1.0,))
+        assert ri_path == "a#b.txt"
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"

@@ -223,7 +223,6 @@ class TestMetricKernel:
         rng = np.random.default_rng(9)
         vecs = _unit_rows(rng.uniform(1.0, 9.0, (4, 7)))
         record = record_from_vectors(*vecs, cr=0.05)
-        unit = _unit_rows(vecs)
-        block = metric_blocks(unit[None, 0], [unit[None, k] for k in (1, 2, 3)])
+        block = metric_blocks(vecs[None, 0], [vecs[None, k] for k in (1, 2, 3)])
         for mi, m in enumerate(METRICS):
             assert record.values[m] == tuple(block[mi, :, 0].tolist())

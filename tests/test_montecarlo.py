@@ -2,24 +2,27 @@ import numpy as np
 import pytest
 
 from pcmkit import (
-    EmptyBinError,
     GeneratorConfig,
+    PCMatrix,
     SimulationConfig,
-    closest_probability,
+    combined_eigenvector,
     compare_methods,
     consistency_ratio,
     default_ri_table,
     generate_perturbed,
+    inverse_left_eigenvector,
     is_consistent,
+    row_geometric_mean,
     run_simulation,
     validate,
 )
-from pcmkit.core import ReciprocityPolicy
+from pcmkit.consistency import SAATY_SCALE, _ci_cr
+from pcmkit.core import ReciprocityPolicy, reciprocal_from_upper
+from pcmkit.metrics import METRICS, comparison_flags, metric_blocks
 from pcmkit.montecarlo import (
     SimTask,
     batch_vectors,
     perturbed_batch,
-    records_for_matrices,
     reduce_partials,
     run_task,
     simulation_tasks,
@@ -146,25 +149,62 @@ class TestGeneratorAgainstIndependentReference:
         assert abs(fraction - reference_fraction) < 0.01
 
 
+def _mixed_batch(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Perturbed, Saaty-scale and exactly consistent matrices of order n,
+    shuffled: ties in a vector and vectors that coincide are all covered."""
+    perturbed = np.concatenate([perturbed_batch(GeneratorConfig(n, delta), rng, 10)
+                                for delta in (0.5, 1.0, 3.0)])
+    k = n * (n - 1) // 2
+    saaty = reciprocal_from_upper(SAATY_SCALE[rng.integers(0, len(SAATY_SCALE), (30, k))], n)
+    w = rng.uniform(1.0, 9.0, (20, n))
+    consistent = w[:, :, None] / w[:, None, :]
+    consistent[:, np.arange(n), np.arange(n)] = 1.0
+    mats = np.concatenate([perturbed, saaty, consistent])
+    return mats[rng.permutation(len(mats))]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestBatchMatchesScalarPath:
-    def test_vectors_and_records_agree(self, toy_ri_table):
+    def test_vectors_and_records_agree(self):
+        """compare_methods and the single-matrix vectors give, bit for bit,
+        what the simulation computes for the same matrix in a batch."""
         rng = np.random.default_rng(30)
-        mats = perturbed_batch(GeneratorConfig(n=5, delta=2.0), rng, 8)
-        wr, inv, combined, rgm, lam, ok = batch_vectors(mats, DEFAULT_SOLVER)
-        assert ok.all()
-        records = records_for_matrices(mats, toy_ri_table.ri(5))
-        for k in range(8):
-            scalar = compare_methods(validate(mats[k]), toy_ri_table)
-            assert abs(records[k].cr - scalar.cr) < 1e-10
-            for metric in ("euclidean", "chebyshev", "max_ratio", "kendall"):
-                batch_triple = np.array(records[k].values[metric])
-                scalar_triple = np.array(scalar.values[metric])
-                assert np.max(np.abs(batch_triple - scalar_triple)) < 1e-9
-            assert records[k].top_reversal == scalar.top_reversal
-            assert records[k].any_reversal == scalar.any_reversal
+        table = default_ri_table()
+        checked = 0
+        for n in range(3, 16):
+            mats = _mixed_batch(n, rng)
+            wr, inv, combined, rgm, lam, ok = batch_vectors(mats, DEFAULT_SOLVER)
+            assert ok.all()
+            values = metric_blocks(wr, (inv, combined, rgm))
+            closer, top = comparison_flags(values, wr, inv)
+            _, cr = _ci_cr(lam, n, table.ri(n))
+            iu, ju = np.triu_indices(n, 1)
+            any_reversal = np.any(np.sign(wr[:, iu] - wr[:, ju])
+                                  * np.sign(inv[:, iu] - inv[:, ju]) < 0, axis=1)
+            for k, entries in enumerate(mats):
+                m = PCMatrix(entries)
+                record = compare_methods(m, table)
+                assert _same_bits(record.cr, cr[k])
+                for mi, metric in enumerate(METRICS):
+                    assert _same_bits(record.values[metric], values[mi, :, k])
+                    assert record.closer[metric] == closer[mi, k]
+                assert record.top_reversal == top[k]
+                assert record.any_reversal == any_reversal[k]
+                assert _same_bits(inverse_left_eigenvector(m).priorities, inv[k])
+                assert _same_bits(combined_eigenvector(m).priorities, combined[k])
+                assert _same_bits(row_geometric_mean(m).priorities, rgm[k])
+                checked += 1
+        assert checked >= 1000
 
 
 class TestClosestProbability:
+    """Share of records whose row geometric mean is at least as close as the
+    inverse-left vector, where the two coincide analytically."""
+
     def test_consistent_records_all_closer(self, toy_ri_table):
         from pcmkit import consistent_from_weights
 
@@ -173,8 +213,8 @@ class TestClosestProbability:
         for _ in range(5):
             w = rng.uniform(1.0, 9.0, 4)
             records.append(compare_methods(consistent_from_weights(w), toy_ri_table))
-        for metric in ("euclidean", "chebyshev", "max_ratio", "kendall"):
-            assert closest_probability(records, metric) == 1.0
+        for metric in METRICS:
+            assert np.mean([r.closer[metric] for r in records]) == 1.0
 
     def test_three_alternative_records_all_closer(self, toy_ri_table):
         from conftest import random_reciprocal
@@ -182,16 +222,8 @@ class TestClosestProbability:
         rng = np.random.default_rng(41)
         records = [compare_methods(random_reciprocal(3, rng), toy_ri_table)
                    for _ in range(10)]
-        for metric in ("euclidean", "chebyshev", "max_ratio", "kendall"):
-            assert closest_probability(records, metric) == 1.0
-
-    def test_empty_bin_rejected(self):
-        with pytest.raises(EmptyBinError):
-            closest_probability([], "euclidean")
-
-    def test_unknown_metric_rejected(self, toy_ri_table):
-        with pytest.raises(ValueError):
-            closest_probability([], "spearman")
+        for metric in METRICS:
+            assert np.mean([r.closer[metric] for r in records]) == 1.0
 
 
 @pytest.fixture(scope="module")

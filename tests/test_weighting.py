@@ -138,11 +138,6 @@ class TestCombinedEigenvector:
         combined = combined_eigenvector(m).priorities
         assert np.max(np.abs(combined - np.array([16, 4, 1]) / 21)) < 1e-9
 
-    def test_geometric_mean_variant_recovers_generators(self):
-        m = consistent_from_weights((4.0, 2.0, 1.0))
-        combined = combined_eigenvector(m, geometric_mean=True).priorities
-        assert np.max(np.abs(combined - np.array([4, 2, 1]) / 7)) < 1e-9
-
     def test_reciprocal_pair_squares(self, reciprocal_pair):
         combined = combined_eigenvector(reciprocal_pair).priorities
         expected = np.array([16.0, 25.0, 64.0, 1.0]) / 106.0
@@ -248,8 +243,6 @@ class TestConsistentDegeneracy:
             assert np.max(np.abs(row_geometric_mean(m).priorities - w)) < 1e-9
             squared = w * w / np.sum(w * w)
             assert np.max(np.abs(combined_eigenvector(m).priorities - squared)) < 1e-9
-            assert np.max(np.abs(
-                combined_eigenvector(m, geometric_mean=True).priorities - w)) < 1e-9
 
 
 class TestPermutationEquivariance:
