@@ -62,7 +62,6 @@ from .montecarlo import (
 from .verify import CASES, VerifyCase, run_verification
 from .weighting import (
     EigenResult,
-    EigenSolverConfig,
     aggregate_matrices_geometric,
     aggregate_priorities_geometric,
     combined_eigenvector,

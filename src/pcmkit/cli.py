@@ -163,6 +163,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     config = GeneratorConfig(n=args.n, delta=args.delta, weight_low=args.weight_low,
                              weight_high=args.weight_high, seed=args.seed)
     out_dir = Path(args.out_dir)
@@ -243,7 +245,7 @@ def _bin_row(stat, metric: str) -> str:
 def _write_bin_csvs(out_dir: Path, result: SimulationResult) -> list[Path]:
     config = result.config
     written = []
-    for metric in config.metrics:
+    for metric in METRICS:
         pooled = ["n,bin_lower," + _BIN_HEADER] + [
             f"{n},{_g12(stat.bin_lower)},{_bin_row(stat, metric)}"
             for n in config.dims for stat in result.pooled[n]]
@@ -270,7 +272,7 @@ def _write_manifest(path: Path, config: SimulationConfig, table: RiTable,
         f"bin_width={_g12(config.bin_width)}",
         f"min_bin_count={config.min_bin_count}",
         f"cr_cap={_g12(config.cr_cap)}",
-        f"metrics={','.join(config.metrics)}",
+        f"metrics={','.join(METRICS)}",
         f"ri_table={ri_table_path or '<packaged default>'}",
     ]
     for n in config.dims:
@@ -328,8 +330,10 @@ def _parse_orders(spec: str) -> list[int]:
     for part in spec.split(","):
         part = part.strip()
         if "-" in part:
-            lo, _, hi = part.partition("-")
-            orders.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"--orders: range {part!r} runs downwards")
+            orders.extend(range(lo, hi + 1))
         else:
             orders.append(int(part))
     return orders

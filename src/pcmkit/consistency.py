@@ -12,6 +12,7 @@ seeds recorded in the file) and any table can be swapped in.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -23,7 +24,7 @@ import numpy as np
 from ._power import power_iterate
 from .core import PCMatrix, reciprocal_from_upper
 from .errors import MissingRiError, NoConvergenceError
-from .weighting import EigenSolverConfig, right_eigenvector
+from .weighting import right_eigenvector
 
 # Discrete judgment scale used for random matrices: 1/9 ... 1/2, 1, 2 ... 9.
 SAATY_SCALE = np.array(
@@ -71,6 +72,10 @@ class RiTable:
     provenance: Mapping[int, RiProvenance]
 
     def __post_init__(self):
+        for n, ri in self.values.items():
+            if not (math.isfinite(ri) and ri > 0.0):
+                raise ValueError(f"random index for order {n} must be finite and positive, "
+                                 f"got {ri}")
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
 
@@ -111,7 +116,10 @@ class RiTable:
                 prov[n] = RiProvenance("estimated", samples, seed)
         if not values:
             raise ValueError(f"{path}: no random-index entries found")
-        return cls(values, prov)
+        try:
+            return cls(values, prov)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -158,9 +166,9 @@ def _ci_cr(lam, n: int, ri: float = 1.0):
     return ci, ci / ri
 
 
-def consistency_index(matrix: PCMatrix, config: EigenSolverConfig | None = None) -> float:
+def consistency_index(matrix: PCMatrix) -> float:
     """CI = (lambda_max - n) / (n - 1), noise-clamped at zero."""
-    lam = right_eigenvector(matrix, config).lambda_max
+    lam = right_eigenvector(matrix).lambda_max
     return float(_ci_cr(lam, matrix.n)[0])
 
 
@@ -174,11 +182,10 @@ def report_from_lambda(n: int, lambda_max: float, ri_table: RiTable) -> Consiste
     )
 
 
-def consistency_ratio(matrix: PCMatrix, ri_table: RiTable | None = None,
-                      config: EigenSolverConfig | None = None) -> ConsistencyReport:
+def consistency_ratio(matrix: PCMatrix, ri_table: RiTable | None = None) -> ConsistencyReport:
     """CR report for a matrix; uses the shipped RI table unless given one."""
     table = ri_table if ri_table is not None else default_ri_table()
-    lam = right_eigenvector(matrix, config).lambda_max
+    lam = right_eigenvector(matrix).lambda_max
     return report_from_lambda(matrix.n, lam, table)
 
 

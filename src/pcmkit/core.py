@@ -92,15 +92,14 @@ class PCMatrix:
     mirrored products within the hard reciprocity bound.  Instances are
     safe to share across concurrent workers.
 
-    `_eigen` is private to `weighting`: it memoizes the Perron pairs of
-    this instance and of its transpose, and the vectors derived from them,
-    per solver config.  It takes no part in equality or repr, and is
-    neither pickled nor copied.  Threads that race on an empty memo may
-    each solve; they store equal, immutable results.
+    `_eigen` is private to `weighting`: one slot, filled on first use,
+    holding the Perron pairs of this instance and of its transpose from one
+    solve, and the vectors derived from them.  It takes no part in equality
+    or repr, and is neither pickled nor copied.
     """
 
     entries: np.ndarray
-    _eigen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _eigen: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -125,7 +124,7 @@ class PCMatrix:
 
     def __setstate__(self, state):
         object.__setattr__(self, "entries", _as_readonly(state["entries"]))
-        object.__setattr__(self, "_eigen", {})
+        object.__setattr__(self, "_eigen", None)
 
     @property
     def n(self) -> int:

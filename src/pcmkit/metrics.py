@@ -16,7 +16,7 @@ import numpy as np
 from .consistency import RiTable, _ci_cr, default_ri_table
 from .core import PCMatrix, WeightVector
 from .errors import DimensionMismatchError
-from .weighting import DEFAULT_SOLVER, EigenSolverConfig, _vectors, eigen_system
+from .weighting import _checked, eigen_system
 
 METRICS = ("euclidean", "chebyshev", "max_ratio", "kendall")
 
@@ -165,16 +165,13 @@ def record_from_vectors(right: np.ndarray, inverse_left: np.ndarray,
     )
 
 
-def compare_methods(matrix: PCMatrix, ri_table: RiTable | None = None,
-                    config: EigenSolverConfig | None = None) -> ComparisonRecord:
+def compare_methods(matrix: PCMatrix, ri_table: RiTable | None = None) -> ComparisonRecord:
     """Evaluate all four metrics for one matrix against all three vectors.
 
     Bit for bit the record the simulation computes for the same matrix.
     """
     table = ri_table if ri_table is not None else default_ri_table()
-    config = config or DEFAULT_SOLVER
-    right, _ = eigen_system(matrix, config)
-    inverse_left, combined, rgm = _vectors(matrix, config)
+    right, _ = eigen_system(matrix)
+    inverse_left, combined, rgm = _checked(matrix)[2]
     _, cr = _ci_cr(right.lambda_max, matrix.n, table.ri(matrix.n))
-    return record_from_vectors(right.weights.priorities, inverse_left[0], combined[0],
-                               rgm[0], float(cr))
+    return record_from_vectors(right.weights.priorities, inverse_left, combined, rgm, float(cr))

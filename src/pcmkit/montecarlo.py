@@ -27,7 +27,7 @@ from .consistency import RiTable, _chunk_sizes, _ci_cr, _ordered_map, default_ri
 from .core import PCMatrix
 from .errors import NoConvergenceError
 from .metrics import METRICS, comparison_flags, metric_blocks
-from .weighting import DEFAULT_SOLVER, EigenSolverConfig, _vector_rows
+from .weighting import _MAX_ITERATIONS, _TOL, _vector_rows
 
 _BATCH = 8192
 
@@ -79,14 +79,12 @@ class SimulationConfig:
     min_bin_count: int = 1000
     cr_cap: float = 0.5
     seed: int = 0
-    metrics: tuple[str, ...] = METRICS
 
     def __post_init__(self):
         dims = tuple(sorted(set(int(d) for d in self.dims)))
         deltas = tuple(sorted(set(float(d) for d in self.deltas)))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "metrics", tuple(self.metrics))
         if not dims or min(dims) < 3:
             raise ValueError("dims must contain orders >= 3")
         if not deltas or not all(math.isfinite(d) and d > 0.0 for d in deltas):
@@ -104,9 +102,6 @@ class SimulationConfig:
                              "into more bins than a float can count")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        unknown = set(self.metrics) - set(METRICS)
-        if unknown:
-            raise ValueError(f"unknown metrics: {sorted(unknown)}")
 
     @property
     def n_bins(self) -> int:
@@ -219,18 +214,17 @@ def generate_perturbed(config: GeneratorConfig,
 # Batched evaluation
 # ---------------------------------------------------------------------------
 
-def batch_vectors(mats: np.ndarray, solver: EigenSolverConfig):
+def batch_vectors(mats: np.ndarray):
     """Right, inverse-left, combined, and row-geometric-mean vectors plus
     the dominant eigenvalue for a stack of matrices.
 
     Returns (right, inverse_left, combined, rgm, lam, ok) where ok flags
     rows whose two eigen runs both converged and agree on the eigenvalue.
     """
-    tol, max_iter = solver.convergence_tol, solver.max_iterations
-    wr, lam_r, _, _, conv_r = power_iterate(mats, tol, max_iter)
+    wr, lam_r, _, _, conv_r = power_iterate(mats, _TOL, _MAX_ITERATIONS)
     transposed = np.ascontiguousarray(mats.transpose(0, 2, 1))
-    wl, lam_l, _, _, conv_l = power_iterate(transposed, tol, max_iter)
-    inv, combined, rgm, agree = _vector_rows(mats, wr, wl, lam_r, lam_l, tol)
+    wl, lam_l, _, _, conv_l = power_iterate(transposed, _TOL, _MAX_ITERATIONS)
+    inv, combined, rgm, agree = _vector_rows(mats, wr, wl, lam_r, lam_l, _TOL)
     return wr, inv, combined, rgm, lam_r, conv_r & conv_l & agree
 
 
@@ -268,17 +262,15 @@ def simulation_tasks(config: SimulationConfig) -> list[SimTask]:
             for batch_index, count in enumerate(_chunk_sizes(config.matrices_per_cell, _BATCH))]
 
 
-def run_task(config: SimulationConfig, task: SimTask, ri: float,
-             solver: EigenSolverConfig | None = None) -> TaskPartial:
+def run_task(config: SimulationConfig, task: SimTask, ri: float) -> TaskPartial:
     """Generate and evaluate one batch; returns order-independent partial sums."""
-    solver = solver or DEFAULT_SOLVER
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, task.cell_index, task.batch_index))
     )
     gen = GeneratorConfig(task.n, task.delta)
     mats = perturbed_batch(gen, rng, task.count)
 
-    wr, inv, combined, rgm, lam, ok = batch_vectors(mats, solver)
+    wr, inv, combined, rgm, lam, ok = batch_vectors(mats)
     nonconverged = int((~ok).sum())
     if nonconverged:
         wr, inv, combined, rgm, lam = (a[ok] for a in (wr, inv, combined, rgm, lam))
@@ -403,8 +395,7 @@ def _check_bin_memory(config: SimulationConfig, n_tasks: int) -> None:
 
 
 def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
-                   workers: int = 1,
-                   solver: EigenSolverConfig | None = None) -> SimulationResult:
+                   workers: int = 1) -> SimulationResult:
     """Run the full grid and aggregate per-bin statistics.
 
     Deterministic for a given config seed whatever the worker count.  A
@@ -416,11 +407,11 @@ def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
     ris = {n: table.ri(n) for n in config.dims}
     tasks = simulation_tasks(config)
     _check_bin_memory(config, len(tasks))
-    args = [(config, t, ris[t.n], solver) for t in tasks]
+    args = [(config, t, ris[t.n]) for t in tasks]
     result = reduce_partials(config, _ordered_map(run_task, args, workers))
     if result.nonconverged:
         raise NoConvergenceError(
-            (solver or DEFAULT_SOLVER).max_iterations, float("nan"),
+            _MAX_ITERATIONS, float("nan"),
             f"{result.nonconverged} matrices failed to converge; bins would be skewed",
         )
     return result

@@ -21,7 +21,6 @@ from .consistency import RiTable, default_ri_table, report_from_lambda
 from .core import Normalization, PCMatrix, reconcile_matrix_text
 from .metrics import ComparisonRecord, compare_methods, euclidean
 from .weighting import (
-    EigenSolverConfig,
     aggregate_matrices_geometric,
     aggregate_priorities_geometric,
     eigen_system,
@@ -30,18 +29,16 @@ from .weighting import (
 )
 
 
+@dataclass
 class _CaseContext:
     """Lazily computed derived quantities for one matrix."""
 
-    def __init__(self, matrix: PCMatrix, ri_table: RiTable,
-                 config: EigenSolverConfig | None):
-        self.matrix = matrix
-        self.ri_table = ri_table
-        self.config = config
+    matrix: PCMatrix
+    ri_table: RiTable
 
     @cached_property
     def eigen(self):
-        return eigen_system(self.matrix, self.config)
+        return eigen_system(self.matrix)
 
     @cached_property
     def right100(self) -> np.ndarray:
@@ -53,7 +50,7 @@ class _CaseContext:
 
     @cached_property
     def inverse_left100(self) -> np.ndarray:
-        return inverse_left_eigenvector(self.matrix, self.config).priorities * 100.0
+        return inverse_left_eigenvector(self.matrix).priorities * 100.0
 
     @cached_property
     def cr(self) -> float:
@@ -61,7 +58,7 @@ class _CaseContext:
 
     @cached_property
     def record(self) -> ComparisonRecord:
-        return compare_methods(self.matrix, self.ri_table, self.config)
+        return compare_methods(self.matrix, self.ri_table)
 
     def weights100(self, method: str) -> np.ndarray:
         return {"right": self.right100, "left": self.left100,
@@ -244,13 +241,13 @@ class AggregationCheck:
         partner = PCMatrix(self._partner_entries)
         merged = aggregate_matrices_geometric([ctx.matrix, partner])
         ones_residual = float(np.max(np.abs(merged.entries - 1.0)))
-        merged_w = right_eigenvector(merged, ctx.config).weights
+        merged_w = right_eigenvector(merged).weights
         uniform_residual = float(np.max(np.abs(
             merged_w.rescaled(Normalization.SUM_HUNDRED).priorities - 100.0 / ctx.matrix.n
         )))
         aip = aggregate_priorities_geometric([
-            right_eigenvector(ctx.matrix, ctx.config).weights,
-            right_eigenvector(partner, ctx.config).weights,
+            right_eigenvector(ctx.matrix).weights,
+            right_eigenvector(partner).weights,
         ]).priorities
         ordered = aip[self.aip_greater - 1] > aip[self.aip_smaller - 1]
         ok = ones_residual <= 1e-12 and uniform_residual <= 1e-6 and ordered
@@ -457,14 +454,13 @@ class VerificationReport:
 
 
 def run_verification(ri_table: RiTable | None = None,
-                     config: EigenSolverConfig | None = None,
                      cases: tuple[VerifyCase, ...] = CASES) -> VerificationReport:
     """Evaluate every embedded case; all quantities carry explicit tolerances."""
     table = ri_table if ri_table is not None else default_ri_table()
     started = time.perf_counter()
     outcomes = []
     for case in cases:
-        ctx = _CaseContext(case.matrix, table, config)
+        ctx = _CaseContext(case.matrix, table)
         for check in case.checks:
             passed, detail = check.evaluate(ctx)
             outcomes.append(CheckOutcome(case.name, check.label(), passed, detail))

@@ -11,15 +11,12 @@ eigenvalue check have one derivation, `_vector_rows`, which the simulation
 runs on a batch and every function here on a batch of one: a matrix gets
 the same bits alone as in a simulation batch.
 
-Every function of the eigenvector family reads one memo per `PCMatrix`
-instance and solver config, holding the raw Perron rows of the matrix and
-of its transpose and the vectors derived from them.  Each row is solved at
-most once, when first asked for: `right_eigenvector` (and the consistency
-indices built on it) solves the matrix alone, and the other functions solve
-whatever is missing in one power iteration call.  A row's bits do not
-depend on what shares the call, so the order of the calls changes no
-result.  The memo lives and dies with the instance; no cache is shared
-between matrices, so two matrices with equal entries each solve their own.
+Every function of the eigenvector family reads one memo slot per `PCMatrix`
+instance.  The first of them to run fills it with a single power-iteration
+call on the matrix and its transpose stacked, then `_vector_rows` on that
+batch of one; every later call, of any kind, reads the slot.  The slot lives
+and dies with the instance; no cache is shared between matrices, so two
+matrices with equal entries each solve their own.
 """
 
 from __future__ import annotations
@@ -33,30 +30,11 @@ from .core import Normalization, PCMatrix, WeightVector, normalize, reciprocal_f
 from .errors import DimensionMismatchError, EmptyListError, NoConvergenceError
 
 
-@dataclass(frozen=True)
-class EigenSolverConfig:
-    """Power-iteration budget and stopping tolerance.
-
-    `convergence_tol` bounds the componentwise relative change of the
-    normalized iterate per step; the solver additionally certifies the
-    eigen-residual at the same level before stopping.  The test runs every
-    8 matrix-vector products and at the last one of the budget, so the
-    reported `iterations` (a count of matrix-vector products) of a
-    converged result is a multiple of 8 or equals `max_iterations`, which
-    stays an exact budget.
-    """
-
-    max_iterations: int = 10_000
-    convergence_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (0.0 < self.convergence_tol <= 1e-3):
-            raise ValueError("convergence_tol must lie in (0, 1e-3]")
-
-
-DEFAULT_SOLVER = EigenSolverConfig()
+# Power-iteration stopping tolerance and budget (in matrix-vector
+# products) for the eigenvector family and the simulation.  The solver
+# also certifies the eigen-residual at `_TOL` before it stops.
+_TOL = 1e-12
+_MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -96,30 +74,29 @@ def _vector_rows(mats: np.ndarray, right: np.ndarray, left: np.ndarray,
     return inverse_left, combined, _rgm_rows(mats), agree
 
 
-def _solved(matrix: PCMatrix, config: EigenSolverConfig, rows: tuple[int, ...]) -> list:
-    """Memoized eigenpairs of the matrix (row 0) and its transpose (row 1).
+def _solved(matrix: PCMatrix) -> tuple:
+    """The matrix's memo slot: (right, left, rows, agree).
 
-    Rows not yet in the matrix's memo for this config are solved in one
-    power-iteration call and stored as returned, unrenormalized: an
-    EigenResult for a converged row, (iterations, residual) for one that
-    blew the budget, so every caller raises its own error.  The memo lives
-    and dies with the instance.
+    `right` and `left` are the Perron pairs of the matrix and of its
+    transpose as power iteration returns them: an EigenResult for a
+    converged row, (iterations, residual) for one that blew the budget, so
+    every caller raises its own error.  `rows` holds the inverse-left,
+    combined and row-geometric-mean vectors and `agree` whether the two
+    eigenvalues agree.  Filled by the first call; threads that race
+    on an empty slot each solve and store equal, immutable results.
     """
-    memo = matrix._eigen.setdefault(config, {})
-    missing = [k for k in rows if k not in memo]
-    if missing:
+    if matrix._eigen is None:
         a = matrix.entries
-        w, lam, iters, resid, conv = power_iterate(
-            np.stack([a.T if k else a for k in missing]),
-            config.convergence_tol, config.max_iterations,
-        )
-        for i, k in enumerate(missing):
-            memo[k] = (
-                EigenResult(WeightVector(w[i], Normalization.SUM_ONE, _ROW_METHODS[k]),
-                            float(lam[i]), int(iters[i]), float(resid[i]))
-                if conv[i] else (int(iters[i]), float(resid[i]))
-            )
-    return [_converged(memo[k]) for k in rows]
+        w, lam, iters, resid, conv = power_iterate(np.stack([a, a.T]), _TOL, _MAX_ITERATIONS)
+        *rows, agree = _vector_rows(a[None], w[:1], w[1:], lam[:1], lam[1:], _TOL)
+        pairs = [
+            EigenResult(WeightVector(w[k], Normalization.SUM_ONE, _ROW_METHODS[k]),
+                        float(lam[k]), int(iters[k]), float(resid[k]))
+            if conv[k] else (int(iters[k]), float(resid[k]))
+            for k in (0, 1)
+        ]
+        object.__setattr__(matrix, "_eigen", (*pairs, tuple(r[0] for r in rows), bool(agree[0])))
+    return matrix._eigen
 
 
 def _converged(row) -> EigenResult:
@@ -128,72 +105,58 @@ def _converged(row) -> EigenResult:
     raise NoConvergenceError(*row)
 
 
-def _vectors(matrix: PCMatrix, config: EigenSolverConfig):
-    """Memoized (1, n) inverse-left, combined and row-geometric-mean rows
-    of the matrix: `_vector_rows` on a batch of one.  Raises
-    NoConvergenceError when the left and right eigenvalues disagree."""
-    memo = matrix._eigen.setdefault(config, {})
-    if "vectors" not in memo:
-        right, left = _solved(matrix, config, (0, 1))
-        *rows, agree = _vector_rows(
-            matrix.entries[None], right.weights.priorities[None],
-            left.weights.priorities[None], np.array([right.lambda_max]),
-            np.array([left.lambda_max]), config.convergence_tol,
+def _checked(matrix: PCMatrix):
+    """(right, left, rows) of the memo slot.  Raises NoConvergenceError
+    when either run blew the budget or the two eigenvalues disagree."""
+    right, left, rows, agree = _solved(matrix)
+    right, left = _converged(right), _converged(left)
+    if not agree:
+        gap = abs(left.lambda_max - right.lambda_max) / right.lambda_max
+        raise NoConvergenceError(
+            left.iterations, left.residual,
+            f"left/right eigenvalue estimates disagree by {gap:.3e} relative",
         )
-        if not agree[0]:
-            gap = abs(left.lambda_max - right.lambda_max) / right.lambda_max
-            raise NoConvergenceError(
-                left.iterations, left.residual,
-                f"left/right eigenvalue estimates disagree by {gap:.3e} relative",
-            )
-        memo["vectors"] = rows
-    return memo["vectors"]
+    return right, left, rows
 
 
-def right_eigenvector(matrix: PCMatrix, config: EigenSolverConfig | None = None) -> EigenResult:
+def right_eigenvector(matrix: PCMatrix) -> EigenResult:
     """Perron vector of the matrix, normalized to unit sum.
 
     Deterministic: power iteration always starts from the uniform vector.
-    Solves the matrix alone; the transpose is left to `eigen_system`.
+    Returns even when the transpose's run failed.
     """
-    return _solved(matrix, config or DEFAULT_SOLVER, (0,))[0]
+    return _converged(_solved(matrix)[0])
 
 
-def eigen_system(matrix: PCMatrix, config: EigenSolverConfig | None = None):
+def eigen_system(matrix: PCMatrix):
     """Right and left dominant eigenvectors computed together.
 
     The left vector is the Perron vector of the transpose.  Both runs must
     agree on the dominant eigenvalue; the right-hand estimate is the one
     reported everywhere (single source of truth for consistency indices).
     """
-    config = config or DEFAULT_SOLVER
-    _vectors(matrix, config)  # runs the eigenvalue agreement check
-    right, left = _solved(matrix, config, (0, 1))
+    right, left, _ = _checked(matrix)
     return right, replace(left, lambda_max=right.lambda_max)
 
 
-def left_eigenvector(matrix: PCMatrix, config: EigenSolverConfig | None = None) -> EigenResult:
+def left_eigenvector(matrix: PCMatrix) -> EigenResult:
     """Dominant left eigenvector (row vector w with w A = lambda w), unit sum."""
-    _, left = eigen_system(matrix, config)
+    _, left = eigen_system(matrix)
     return left
 
 
-def inverse_left_eigenvector(matrix: PCMatrix,
-                             config: EigenSolverConfig | None = None) -> WeightVector:
+def inverse_left_eigenvector(matrix: PCMatrix) -> WeightVector:
     """Componentwise inverse of the left eigenvector, renormalized.
 
     Coincides with the right eigenvector exactly for consistent matrices
     and for every matrix with three alternatives.
     """
-    inverse_left = _vectors(matrix, config or DEFAULT_SOLVER)[0]
-    return WeightVector(inverse_left[0], Normalization.SUM_ONE, "inverse-left-eigenvector")
+    return WeightVector(_checked(matrix)[2][0], Normalization.SUM_ONE, "inverse-left-eigenvector")
 
 
-def combined_eigenvector(matrix: PCMatrix,
-                         config: EigenSolverConfig | None = None) -> WeightVector:
+def combined_eigenvector(matrix: PCMatrix) -> WeightVector:
     """Componentwise product of the right and inverse-left vectors, renormalized."""
-    combined = _vectors(matrix, config or DEFAULT_SOLVER)[1]
-    return WeightVector(combined[0], Normalization.SUM_ONE, "combined-eigenvector")
+    return WeightVector(_checked(matrix)[2][1], Normalization.SUM_ONE, "combined-eigenvector")
 
 
 def row_geometric_mean(matrix: PCMatrix) -> WeightVector:

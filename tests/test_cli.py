@@ -121,6 +121,15 @@ class TestConsistencyCommand:
         cr_line = [l for l in out.splitlines() if l.startswith("cr")][0]
         assert float(cr_line.split("=")[1]) == pytest.approx(0.0783 / 2, abs=0.002)
 
+    @pytest.mark.parametrize("ri", ["-0.9", "0", "nan", "inf"])
+    def test_bad_ri_table_value_exits_2(self, five_alt_file, tmp_path, capsys, ri):
+        table = tmp_path / "ri.txt"
+        table.write_text(f"4 1.0 1000 1\n5 {ri} 1000 1\n")
+        assert main(["consistency", five_alt_file, "--ri-table", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(table) in captured.err and "order 5" in captured.err
+
 
 class TestCompareCommand:
     def test_record_output(self, five_alt_file, capsys):
@@ -153,6 +162,14 @@ class TestGenerateCommand:
         args[flag] = value
         assert main(["generate", *(x for kv in args.items() for x in kv)]) == 2
         assert "pcmkit: error:" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_exits_2(self, tmp_path, capsys, count):
+        assert main(["generate", "--n", "4", "--delta", "1", "--count", count,
+                     "--out-dir", str(tmp_path / "m")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--count" in captured.err
         assert not (tmp_path / "m").exists()
 
 
@@ -262,6 +279,16 @@ class TestSimulateCommand:
         config = tmp_path / "sim.cfg"
         config.write_text(f"dims=4,5\ndeltas=1\ncounts=100\nseed=1\nri_table={table}\n")
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+
+    def test_bad_ri_table_value_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "ri.txt"
+        table.write_text("4 -0.9 1000 1\n")
+        config = tmp_path / "sim.cfg"
+        config.write_text(f"dims=4\ndeltas=1\ncounts=100\nseed=1\nri_table={table}\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(table) in err and "order 4" in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("line", [
         "deltas=nan", "deltas=1,inf", "bin_width=nan", "bin_width=inf",
@@ -402,6 +429,14 @@ class TestRiEstimateCommand:
     def test_bad_order_spec_exits_2(self, capsys):
         assert main(["ri-estimate", "--orders", "x", "--samples", "1000"]) == 2
 
+    @pytest.mark.parametrize("spec", ["9-3", "3,9-3"])
+    def test_descending_order_range_exits_2(self, tmp_path, capsys, spec):
+        out = tmp_path / "ri.txt"
+        assert main(["ri-estimate", "--orders", spec, "--samples", "1000",
+                     "--out", str(out)]) == 2
+        assert "9-3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, capsys, workers):
         assert main(["ri-estimate", "--orders", "3", "--samples", "1000",
@@ -413,3 +448,11 @@ class TestRiEstimateCommand:
         assert main(["ri-estimate", "--orders", "3", "--samples", "1000"]) == 2
         assert WORKERS_ENV in capsys.readouterr().err
 
+
+def test_readme_library_quick_start_runs_as_printed():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["record"].cr == pytest.approx(namespace["report"].cr)

@@ -157,6 +157,11 @@ class TestRiTableIO:
         with pytest.raises(ValueError):
             RiTable.from_file(path)
 
+    @pytest.mark.parametrize("ri", [-0.9, 0.0, float("nan"), float("inf")])
+    def test_rejects_values_not_finite_and_positive(self, ri):
+        with pytest.raises(ValueError, match="order 5"):
+            RiTable.supplied({4: 0.9, 5: ri})
+
 
 class TestShippedTable:
     def test_covers_supported_orders(self):

@@ -1,4 +1,4 @@
-"""Each PCMatrix instance solves each of its eigenpairs once per solver config."""
+"""Each PCMatrix instance solves itself and its transpose once, in one call."""
 
 import pickle
 import sys
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pcmkit import (
-    EigenSolverConfig,
     NoConvergenceError,
     PCMatrix,
     combined_eigenvector,
@@ -26,7 +25,6 @@ from pcmkit import (
 from pcmkit._power import power_iterate
 from pcmkit.cli import main
 from pcmkit.verify import CASES, AggregationCheck, run_verification
-from pcmkit.weighting import DEFAULT_SOLVER
 
 from conftest import random_reciprocal
 
@@ -48,22 +46,27 @@ def _matrix(seed: int = 1, n: int = 6) -> PCMatrix:
     return random_reciprocal(n, np.random.default_rng(seed))
 
 
-def _analyse(m: PCMatrix, config=None) -> None:
-    right_eigenvector(m, config)
-    inverse_left_eigenvector(m, config)
-    combined_eigenvector(m, config)
-    left_eigenvector(m, config)
-    consistency_ratio(m, config=config)
-    consistency_index(m, config)
-    compare_methods(m, config=config)
+_EIGEN_FAMILY = (
+    right_eigenvector,
+    inverse_left_eigenvector,
+    combined_eigenvector,
+    left_eigenvector,
+    consistency_ratio,
+    consistency_index,
+    compare_methods,
+)
+
+
+def _analyse(m: PCMatrix) -> None:
+    for call in _EIGEN_FAMILY:
+        call(m)
 
 
 class TestOneSolvePerMatrix:
     def test_full_analysis_solves_each_row_once(self, solves):
-        # right_eigenvector comes first and solves A alone; the next call
-        # needing the left vector adds A^T.
+        # right_eigenvector comes first and solves A and A^T in one call.
         _analyse(_matrix())
-        assert solves == [1, 1]
+        assert solves == [2]
 
     def test_eigen_system_first_solves_both_rows_in_one_call(self, solves):
         m = _matrix()
@@ -71,30 +74,20 @@ class TestOneSolvePerMatrix:
         _analyse(m)
         assert solves == [2]
 
-    @pytest.mark.parametrize("right_only", [
-        right_eigenvector,
-        consistency_index,
-        lambda m: consistency_ratio(m),
-    ])
-    def test_right_only_callers_solve_the_matrix_alone(self, solves, right_only):
+    @pytest.mark.parametrize("first", _EIGEN_FAMILY)
+    def test_first_call_solves_both_rows(self, solves, first):
         m = _matrix()
-        right_only(m)
-        right_only(m)
-        assert solves == [1]
+        first(m)
+        first(m)
+        _analyse(m)
+        assert solves == [2]
 
     def test_equal_entries_solve_again(self, solves):
         m = _matrix()
         twin = PCMatrix(m.entries.copy())
         _analyse(m)
         _analyse(twin)
-        assert solves == [1, 1, 1, 1]
-
-    def test_other_config_solves_again(self, solves):
-        m = _matrix()
-        _analyse(m)
-        _analyse(m, EigenSolverConfig(convergence_tol=1e-10))
-        _analyse(m, EigenSolverConfig())  # equal to the default config
-        assert solves == [1, 1, 1, 1]
+        assert solves == [2, 2]
 
     def test_call_order_does_not_change_the_bits(self):
         m = _matrix(seed=5, n=8)
@@ -111,8 +104,7 @@ class TestOneSolvePerMatrix:
         again = eigen_system(m)
         assert again[0] is right
         w, lam, iters, resid, conv = power_iterate(
-            np.stack([m.entries, m.entries.T]),
-            DEFAULT_SOLVER.convergence_tol, DEFAULT_SOLVER.max_iterations)
+            np.stack([m.entries, m.entries.T]), weighting._TOL, weighting._MAX_ITERATIONS)
         assert conv.all()
         for got, k in ((right, 0), (left, 1)):
             # The raw power-iteration row: the vector the residual certifies.
@@ -150,7 +142,7 @@ class TestThreadsSharingMatrices:
                 assert g.weights.priorities.tobytes() == w.weights.priorities.tobytes()
                 assert (g.lambda_max, g.iterations, g.residual) == \
                     (w.lambda_max, w.iterations, w.residual)
-        assert all(list(m._eigen) == [DEFAULT_SOLVER] for m in mats)
+        assert all(m._eigen is not None for m in mats)
 
 
 class TestNonConvergence:
@@ -184,14 +176,14 @@ class TestNonConvergence:
         assert errors[0] is not errors[1]
         assert str(errors[0]) == str(errors[1])
 
-    def test_budget_failure_is_memoized_as_failure(self, solves):
+    def test_budget_failure_is_memoized_as_failure(self, solves, monkeypatch):
+        monkeypatch.setattr(weighting, "_MAX_ITERATIONS", 2)
         m = _matrix(n=9)
-        tight = EigenSolverConfig(max_iterations=2)
-        for _ in range(2):
+        for call in (right_eigenvector, right_eigenvector, eigen_system, compare_methods):
             with pytest.raises(NoConvergenceError) as info:
-                right_eigenvector(m, tight)
+                call(m)
             assert info.value.iterations == 2
-        assert solves == [1]
+        assert solves == [2]
 
 
 class TestCliSolvesOncePerMatrix:
@@ -202,24 +194,34 @@ class TestCliSolvesOncePerMatrix:
         return str(path)
 
     @pytest.mark.parametrize("argv, rows", [
-        (["weights", "--method", "all"], [1, 1]),
+        (["weights", "--method", "all"], [2]),
         (["compare"], [2]),
-        (["consistency"], [1]),
+        (["consistency"], [2]),
+        (["weights", "--method", "right"], [2]),
+        (["weights", "--method", "rgm"], []),
     ])
     def test_single_matrix_commands(self, argv, rows, matrix_file, solves, capsys):
         assert main([argv[0], matrix_file, *argv[1:]]) == 0
         assert solves == rows
 
-    def test_priority_aggregation(self, tmp_path, solves, capsys):
+    @pytest.fixture()
+    def judge_files(self, tmp_path):
         paths = []
         for seed in range(3):
             path = tmp_path / f"m{seed}.txt"
             path.write_text(format_matrix_text(_matrix(seed=seed, n=4)))
             paths.append(str(path))
-        for method, rows in (("right", 1), ("left-inverse", 2), ("rl", 2)):
+        return paths
+
+    def test_priority_aggregation(self, judge_files, solves, capsys):
+        for method in ("right", "left-inverse", "rl", "rgm"):
             solves.clear()
-            assert main(["aggregate", *paths, "--mode", "aip", "--method", method]) == 0
-            assert solves == [rows] * 3
+            assert main(["aggregate", *judge_files, "--mode", "aip", "--method", method]) == 0
+            assert solves == ([] if method == "rgm" else [2] * 3)
+
+    def test_matrix_aggregation(self, judge_files, solves, capsys):
+        assert main(["aggregate", *judge_files, "--mode", "aij"]) == 0
+        assert solves == [2]  # the merged matrix only
 
 
 class TestVerifierSolvesOncePerMatrix:
@@ -228,12 +230,10 @@ class TestVerifierSolvesOncePerMatrix:
         for _ in range(2):
             solves.clear()
             assert run_verification().all_passed
-            # Both rows of every case matrix in one call, plus the right row
-            # of the partner and the merged matrix of every aggregation
-            # check; no solve is kept between runs.
-            assert solves.count(2) == len(CASES)
-            assert solves.count(1) == 2 * aggregations
-            assert len(solves) == len(CASES) + 2 * aggregations
+            # Every case matrix, plus the partner and the merged matrix of
+            # every aggregation check, each with its transpose in one call;
+            # no solve is kept between runs.
+            assert solves == [2] * (len(CASES) + 2 * aggregations)
 
 
 class TestMatrixValueSemantics:
@@ -253,6 +253,6 @@ class TestMatrixValueSemantics:
         back = pickle.loads(before)
         assert back.entries.tobytes() == m.entries.tobytes()
         assert not back.entries.flags.writeable
-        assert back._eigen == {}
+        assert back._eigen is None
         assert right_eigenvector(back).weights.priorities.tobytes() == \
             right_eigenvector(m).weights.priorities.tobytes()

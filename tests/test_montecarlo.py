@@ -27,7 +27,6 @@ from pcmkit.montecarlo import (
     run_task,
     simulation_tasks,
 )
-from pcmkit.weighting import DEFAULT_SOLVER
 
 
 class TestGenerator:
@@ -177,7 +176,7 @@ class TestBatchMatchesScalarPath:
         checked = 0
         for n in range(3, 16):
             mats = _mixed_batch(n, rng)
-            wr, inv, combined, rgm, lam, ok = batch_vectors(mats, DEFAULT_SOLVER)
+            wr, inv, combined, rgm, lam, ok = batch_vectors(mats)
             assert ok.all()
             values = metric_blocks(wr, (inv, combined, rgm))
             closer, top = comparison_flags(values, wr, inv)
@@ -340,9 +339,6 @@ class TestSimulationConfigValidation:
             SimulationConfig(dims=(4,), deltas=(-1.0,), matrices_per_cell=10)
         with pytest.raises(ValueError):
             SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=0)
-        with pytest.raises(ValueError):
-            SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=10,
-                             metrics=("spearman",))
 
     def test_dims_and_deltas_normalized(self):
         config = SimulationConfig(dims=(5, 4, 5), deltas=(3.0, 1.0),

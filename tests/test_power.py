@@ -5,10 +5,7 @@ from pcmkit import GeneratorConfig, PCMatrix, eigen_system
 from pcmkit._power import _CHECK_EVERY, power_iterate
 from pcmkit.consistency import _random_reciprocal_batch
 from pcmkit.montecarlo import perturbed_batch
-from pcmkit.weighting import DEFAULT_SOLVER
-
-TOL = DEFAULT_SOLVER.convergence_tol
-MAX_ITER = DEFAULT_SOLVER.max_iterations
+from pcmkit.weighting import _MAX_ITERATIONS as MAX_ITER, _TOL as TOL
 
 
 def _pool(n: int = 5, count: int = 300) -> np.ndarray:

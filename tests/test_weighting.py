@@ -5,10 +5,10 @@ import pytest
 
 from pcmkit import (
     DimensionMismatchError,
-    EigenSolverConfig,
     EmptyListError,
     NoConvergenceError,
     Normalization,
+    PCMatrix,
     aggregate_matrices_geometric,
     aggregate_priorities_geometric,
     combined_eigenvector,
@@ -22,6 +22,7 @@ from pcmkit import (
     row_geometric_mean,
     transpose,
     validate,
+    weighting,
 )
 
 from conftest import random_reciprocal
@@ -56,14 +57,15 @@ class TestRightEigenvector:
         assert result.lambda_max == pytest.approx(3.0, abs=1e-12)
 
     def test_residual_certificate(self, five_alt):
-        cfg = EigenSolverConfig()
-        result = right_eigenvector(five_alt, cfg)
-        assert result.residual <= cfg.convergence_tol * result.lambda_max
+        result = right_eigenvector(five_alt)
+        assert result.residual <= weighting._TOL * result.lambda_max
         assert result.iterations >= 1
 
-    def test_no_convergence_raises(self, four_alt):
+    def test_no_convergence_raises(self, four_alt, monkeypatch):
+        monkeypatch.setattr(weighting, "_MAX_ITERATIONS", 2)
+        # A fresh instance: the session fixture must not memoize the failure.
         with pytest.raises(NoConvergenceError) as err:
-            right_eigenvector(four_alt, EigenSolverConfig(max_iterations=2))
+            right_eigenvector(PCMatrix(four_alt.entries))
         assert err.value.iterations == 2
 
     def test_matches_repeated_squaring_oracle(self):
@@ -272,14 +274,6 @@ class TestRankingAsymmetryWitness:
 
 
 class TestSolverConfig:
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            EigenSolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            EigenSolverConfig(convergence_tol=0.0)
-        with pytest.raises(ValueError):
-            EigenSolverConfig(convergence_tol=0.01)
-
     def test_determinism(self, distant_reversal):
         a = right_eigenvector(distant_reversal)
         b = right_eigenvector(distant_reversal)
