@@ -185,7 +185,7 @@ def cmd_generate(args) -> int:
 
 
 def _parse_simulation_config(path) -> tuple[SimulationConfig, str | None]:
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             # A comment fills a line or follows whitespace and '#'.
@@ -195,7 +195,7 @@ def _parse_simulation_config(path) -> tuple[SimulationConfig, str | None]:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
             key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (lineno, value.strip())
     known = {"dims", "deltas", "counts", "seed", "bin_width",
              "min_bin_count", "cr_cap", "ri_table"}
     unknown = set(values) - known
@@ -204,16 +204,26 @@ def _parse_simulation_config(path) -> tuple[SimulationConfig, str | None]:
     for required in ("dims", "deltas", "counts", "seed"):
         if required not in values:
             raise ValueError(f"{path}: missing required key {required!r}")
+
+    def field(key: str, parse, default: str | None = None):
+        if key not in values:
+            return parse(default)
+        lineno, value = values[key]
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}={value}: {exc}") from None
+
     config = SimulationConfig(
-        dims=tuple(int(v) for v in values["dims"].split(",")),
-        deltas=tuple(float(v) for v in values["deltas"].split(",")),
-        matrices_per_cell=int(values["counts"]),
-        bin_width=float(values.get("bin_width", "0.005")),
-        min_bin_count=int(values.get("min_bin_count", "1000")),
-        cr_cap=float(values.get("cr_cap", "0.5")),
-        seed=int(values["seed"]),
+        dims=field("dims", lambda v: tuple(int(x) for x in v.split(","))),
+        deltas=field("deltas", lambda v: tuple(float(x) for x in v.split(","))),
+        matrices_per_cell=field("counts", int),
+        bin_width=field("bin_width", float, "0.005"),
+        min_bin_count=field("min_bin_count", int, "1000"),
+        cr_cap=field("cr_cap", float, "0.5"),
+        seed=field("seed", int),
     )
-    return config, values.get("ri_table")
+    return config, values["ri_table"][1] if "ri_table" in values else None
 
 
 def _write_histogram_csv(path: Path, result: SimulationResult) -> None:

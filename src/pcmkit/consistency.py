@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -111,8 +111,11 @@ class RiTable:
                 parts = stripped.split()
                 if len(parts) != 4:
                     raise ValueError(f"{path}:{lineno}: expected 'n ri samples seed'")
-                n, samples, seed = int(parts[0]), int(parts[2]), int(parts[3])
-                values[n] = float(parts[1])
+                try:
+                    n, samples, seed = int(parts[0]), int(parts[2]), int(parts[3])
+                    values[n] = float(parts[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 prov[n] = RiProvenance("estimated", samples, seed)
         if not values:
             raise ValueError(f"{path}: no random-index entries found")
@@ -223,14 +226,21 @@ def _chunk_sizes(total: int, size: int) -> list[int]:
     return [min(size, total - start) for start in range(0, total, size)]
 
 
-def _ordered_map(task, args: list[tuple], workers: int) -> list:
-    """[task(*a) for a in args], in that order, on a pool of `workers`
-    processes when there is more than one."""
+def _ordered_map(task, args: list[tuple], workers: int) -> Iterator:
+    """Yields task(*a) for a in args, in that order, each as soon as it and
+    the ones before it are done, on a pool of `workers` processes when there
+    is more than one.  The worker count is checked here, before any task runs."""
     _check_workers(workers)
     if workers == 1:
-        return [task(*a) for a in args]
+        return (task(*a) for a in args)
+    return _pool_map(task, args, workers)
+
+
+def _pool_map(task, args: list[tuple], workers: int) -> Iterator:
+    """The pool lives as long as the stream: it shuts down once the last
+    result is drawn or the stream is closed."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, *zip(*args)))
+        yield from pool.map(task, *zip(*args))
 
 
 def estimate_random_index(n: int, samples: int, seed: int, *,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,12 +31,14 @@ from .weighting import _MAX_ITERATIONS, _TOL, _vector_rows
 
 _BATCH = 8192
 
-# Pair order inside sum arrays, anchored at the right eigenvector.
+# Pairs per metric, anchored at the right eigenvector.
 _PAIR_COUNT = 3
 
-# 8-byte slots per bin in a task partial: counts, the metric sums of every
-# pair, the closer counts of every metric, and top reversals.
-_SLOTS_PER_BIN = 1 + len(METRICS) * _PAIR_COUNT + len(METRICS) + 1
+# A bin table has one column per bin and _ROWS rows: the count, the sum of
+# every metric and pair (metric-major), the closer count of every metric,
+# and the top-reversal count.  Counts are float64, exact below 2**53.
+_CLOSER = 1 + len(METRICS) * _PAIR_COUNT
+_ROWS = _CLOSER + len(METRICS) + 1
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,8 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"matrix order must be >= 2, got {self.n}")
+        if self.n < 3:
+            raise ValueError(f"matrix order must be >= 3, got {self.n}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"perturbation half-width must be finite and positive, "
                              f"got {self.delta}")
@@ -244,13 +246,8 @@ class SimTask:
 @dataclass
 class TaskPartial:
     cell_index: int
-    n: int
-    delta: float
     batch_index: int
-    counts: np.ndarray        # (bins+1,) int64, last slot = overflow
-    sums: np.ndarray          # (metrics, pairs, bins+1) float64
-    closer: np.ndarray        # (metrics, bins+1) int64
-    top_reversals: np.ndarray  # (bins+1,) int64
+    table: np.ndarray  # (_ROWS, n_bins + 1) bin table; the last column is the overflow
     nonconverged: int
 
 
@@ -282,116 +279,98 @@ def run_task(config: SimulationConfig, task: SimTask, ri: float) -> TaskPartial:
 
     values = metric_blocks(wr, (inv, combined, rgm))
     closer_flags, top_rev = comparison_flags(values, wr, inv)
-
-    counts = np.bincount(bins, minlength=nb + 1).astype(np.int64)
-    sums = np.empty((len(METRICS), _PAIR_COUNT, nb + 1))
-    closer = np.empty((len(METRICS), nb + 1), dtype=np.int64)
-    for mi in range(len(METRICS)):
-        for p in range(_PAIR_COUNT):
-            sums[mi, p] = np.bincount(bins, weights=values[mi, p], minlength=nb + 1)
-        closer[mi] = np.bincount(bins, weights=closer_flags[mi], minlength=nb + 1).astype(np.int64)
-    top = np.bincount(bins, weights=top_rev, minlength=nb + 1).astype(np.int64)
-
-    return TaskPartial(task.cell_index, task.n, task.delta, task.batch_index,
-                       counts, sums, closer, top, nonconverged)
+    rows = np.vstack([np.ones_like(cr), values.reshape(-1, len(cr)), closer_flags, top_rev])
+    # One bincount over every row: it adds in input order, so each slot gets
+    # the same bits as a bincount of its row alone.
+    index = np.arange(_ROWS)[:, None] * (nb + 1) + bins
+    table = np.bincount(index.ravel(), weights=rows.ravel(), minlength=_ROWS * (nb + 1))
+    return TaskPartial(task.cell_index, task.batch_index, table.reshape(_ROWS, -1), nonconverged)
 
 
-class _CellAccumulator:
-    def __init__(self, nb: int):
-        self.counts = np.zeros(nb + 1, dtype=np.int64)
-        self.sums = np.zeros((len(METRICS), _PAIR_COUNT, nb + 1))
-        self.closer = np.zeros((len(METRICS), nb + 1), dtype=np.int64)
-        self.top_reversals = np.zeros(nb + 1, dtype=np.int64)
-
-    def add(self, other: "TaskPartial | _CellAccumulator") -> None:
-        self.counts += other.counts
-        self.sums += other.sums
-        self.closer += other.closer
-        self.top_reversals += other.top_reversals
-
-
-def _bin_statistics(acc: _CellAccumulator, config: SimulationConfig, n: int,
+def _bin_statistics(table: np.ndarray, config: SimulationConfig, n: int,
                     delta: float | None) -> tuple[BinStatistics, ...]:
-    nb = config.n_bins
     out = []
-    for b in range(nb + 1):
-        count = int(acc.counts[b])
-        if count == 0:
-            continue
-        is_overflow = b == nb
-        means = {
-            m: tuple(float(acc.sums[mi, p, b] / count) for p in range(_PAIR_COUNT))
-            for mi, m in enumerate(METRICS)
-        }
-        closer_probability = {
-            m: float(acc.closer[mi, b] / count) for mi, m in enumerate(METRICS)
-        }
+    for b in np.flatnonzero(table[0]).tolist():
+        count = int(table[0, b])
+        means = table[1:_CLOSER, b].reshape(len(METRICS), _PAIR_COUNT) / count
+        closer = table[_CLOSER:-1, b] / count
         out.append(BinStatistics(
             n=n,
             delta=delta,
-            bin_lower=config.cr_cap if is_overflow else b * config.bin_width,
+            bin_lower=config.cr_cap if b == config.n_bins else b * config.bin_width,
             count=count,
-            means=means,
-            closer_probability=closer_probability,
-            top_reversal_rate=float(acc.top_reversals[b] / count),
+            means={m: tuple(means[mi].tolist()) for mi, m in enumerate(METRICS)},
+            closer_probability=dict(zip(METRICS, closer.tolist())),
+            top_reversal_rate=float(table[-1, b] / count),
             suppressed=count < config.min_bin_count,
-            overflow=is_overflow,
+            overflow=b == config.n_bins,
         ))
     return tuple(out)
 
 
 def reduce_partials(config: SimulationConfig,
-                    partials: Sequence[TaskPartial]) -> SimulationResult:
+                    partials: Iterable[TaskPartial]) -> SimulationResult:
     """Combine task partials into the final statistics.
 
-    Partials are summed in (cell, batch) order and deltas are pooled in
-    sorted order, so the result is independent of how the partials were
-    produced or in what order they arrive; merging the partials of two
-    half-runs reproduces the full run exactly.
+    Each partial is added to its cell's bin table when its turn in task
+    order, (cell, batch), comes; one that arrives early is held until then,
+    so an in-order stream holds none.  Deltas are pooled in sorted order.
+    The result is therefore independent of how the partials were produced
+    or in what order they arrive, and merging the partials of two half-runs
+    reproduces the full run exactly.  Raises ValueError unless the partials
+    cover the task list exactly once.
     """
-    nb = config.n_bins
     cells = config.cells()
-    per_cell = {cell: _CellAccumulator(nb) for cell in cells}
-    nonconverged = 0
-    for p in sorted(partials, key=lambda t: (t.cell_index, t.batch_index)):
-        per_cell[(p.n, p.delta)].add(p)
-        nonconverged += p.nonconverged
+    width = config.n_bins + 1
+    order = [(t.cell_index, t.batch_index) for t in simulation_tasks(config)]
+    pending, early = set(order), {}
+    tables = [np.zeros((_ROWS, width)) for _ in cells]
+    added = nonconverged = 0
+    for partial in partials:
+        key = (partial.cell_index, partial.batch_index)
+        if key not in pending:
+            raise ValueError(f"(cell, batch) {key} is not a task or arrives twice")
+        pending.remove(key)
+        early[key] = partial
+        while added < len(order) and order[added] in early:
+            partial = early.pop(order[added])
+            tables[partial.cell_index] += partial.table
+            nonconverged += partial.nonconverged
+            added += 1
+        del partial  # the last one added dies before the next is drawn
+    if pending:
+        raise ValueError(f"{len(pending)} task partials missing, first (cell, batch) "
+                         f"{min(pending)}")
 
-    pooled_acc = {n: _CellAccumulator(nb) for n in config.dims}
-    for (n, _), acc in per_cell.items():  # deltas in sorted order
-        pooled_acc[n].add(acc)
-
-    histogram = CrHistogram(
-        bin_width=config.bin_width,
-        cr_cap=config.cr_cap,
-        counts={cell: per_cell[cell].counts.copy() for cell in cells},
-    )
-    pooled = {n: _bin_statistics(pooled_acc[n], config, n, None) for n in config.dims}
-    per_delta = {
-        cell: _bin_statistics(per_cell[cell], config, cell[0], cell[1]) for cell in cells
-    }
-    return SimulationResult(config=config, histogram=histogram, pooled=pooled,
-                            per_delta=per_delta, nonconverged=nonconverged)
+    pooled = {n: np.zeros((_ROWS, width)) for n in config.dims}
+    for (n, _), table in zip(cells, tables):  # deltas in sorted order
+        pooled[n] += table
+    histogram = CrHistogram(config.bin_width, config.cr_cap,
+                            {cell: t[0].astype(np.int64) for cell, t in zip(cells, tables)})
+    return SimulationResult(
+        config=config, histogram=histogram,
+        pooled={n: _bin_statistics(t, config, n, None) for n, t in pooled.items()},
+        per_delta={cell: _bin_statistics(t, config, *cell) for cell, t in zip(cells, tables)},
+        nonconverged=nonconverged)
 
 
-def _check_bin_memory(config: SimulationConfig, n_tasks: int) -> None:
-    """Refuse a run whose bin arrays cannot fit in this machine's memory.
+def _check_bin_memory(config: SimulationConfig) -> None:
+    """Refuse a run whose bin tables cannot fit in this machine's memory.
 
-    A run keeps every task partial until the reduction, which adds one
-    accumulator per cell and per order, so a fine `bin_width` multiplies
-    with the task count.
+    The reduction holds one bin table per cell and one per order, plus the
+    partials in flight, each a table of its own.  Only the first two grow
+    with the grid, so those and one partial are counted.
     """
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):
         return
-    arrays = n_tasks + len(config.cells()) + len(config.dims)
-    need = 8 * _SLOTS_PER_BIN * (config.n_bins + 1) * arrays
+    tables = len(config.cells()) + len(config.dims) + 1
+    need = 8 * _ROWS * (config.n_bins + 1) * tables
     if need > memory:
         raise ValueError(
-            f"bin_width {config.bin_width} gives {config.n_bins:.3g} bins; holding them for "
-            f"{arrays} task partials and accumulators needs more than the "
-            f"{memory / 2**30:.1f} GiB of memory")
+            f"bin_width {config.bin_width} gives {config.n_bins:.3g} bins; {tables} bin "
+            f"tables of them need more than the {memory / 2**30:.1f} GiB of memory")
 
 
 def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
@@ -405,9 +384,8 @@ def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
     """
     table = ri_table if ri_table is not None else default_ri_table()
     ris = {n: table.ri(n) for n in config.dims}
-    tasks = simulation_tasks(config)
-    _check_bin_memory(config, len(tasks))
-    args = [(config, t, ris[t.n]) for t in tasks]
+    _check_bin_memory(config)
+    args = [(config, t, ris[t.n]) for t in simulation_tasks(config)]
     result = reduce_partials(config, _ordered_map(run_task, args, workers))
     if result.nonconverged:
         raise NoConvergenceError(

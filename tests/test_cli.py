@@ -130,6 +130,16 @@ class TestConsistencyCommand:
         assert captured.out == ""
         assert str(table) in captured.err and "order 5" in captured.err
 
+    def test_unparseable_ri_table_field_names_file_and_line(self, five_alt_file, tmp_path,
+                                                            capsys):
+        table = tmp_path / "ri.txt"
+        table.write_text("# n ri samples seed\n3 x 1000 1\n")
+        assert main(["consistency", five_alt_file, "--ri-table", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"pcmkit: error: {table}:2: ")
+        assert "'x'" in captured.err
+
 
 class TestCompareCommand:
     def test_record_output(self, five_alt_file, capsys):
@@ -170,6 +180,13 @@ class TestGenerateCommand:
                      "--out-dir", str(tmp_path / "m")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--count" in captured.err
+        assert not (tmp_path / "m").exists()
+
+    def test_order_below_three_exits_2(self, tmp_path, capsys):
+        assert main(["generate", "--n", "2", "--delta", "1",
+                     "--out-dir", str(tmp_path / "m")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and ">= 3" in captured.err
         assert not (tmp_path / "m").exists()
 
 
@@ -288,6 +305,30 @@ class TestSimulateCommand:
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert str(table) in err and "order 4" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_unparseable_ri_table_field_names_file_and_line(self, tmp_path, capsys):
+        table = tmp_path / "ri.txt"
+        table.write_text("3 x 1000 1\n")
+        config = tmp_path / "sim.cfg"
+        config.write_text(f"dims=4\ndeltas=1\ncounts=100\nseed=1\nri_table={table}\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pcmkit: error: {table}:1: ") and "'x'" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("line,lineno", [("counts=1e5", 3), ("dims=4,x", 1)])
+    def test_unparseable_config_value_names_file_line_and_key(self, tmp_path, capsys,
+                                                               line, lineno):
+        key = line.partition("=")[0]
+        base = {"dims": "4", "deltas": "1", "counts": "100", "seed": "1"}
+        base[key] = line.partition("=")[2]
+        config = tmp_path / "sim.cfg"
+        config.write_text("".join(f"{k}={v}\n" for k, v in base.items()))
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pcmkit: error: {config}:{lineno}: {line}: ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("line", [

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,47 @@ class TestDeterminismAndMerging:
         for cell in full.histogram.counts:
             assert np.array_equal(merged.histogram.counts[cell],
                                   full.histogram.counts[cell])
+
+    def test_in_order_stream_releases_each_partial(self):
+        config = SimulationConfig(dims=(4, 5), deltas=(1.0,), matrices_per_cell=9000,
+                                  seed=99)
+        table = default_ri_table()
+        tasks = simulation_tasks(config)
+        assert len(tasks) == 4
+        released = []
+
+        def stream():
+            for t in tasks:
+                partial = run_task(config, t, table.ri(t.n))
+                ref = weakref.ref(partial)
+                yield partial
+                # Resumed only when the next partial is drawn.
+                del partial
+                released.append(ref() is None)
+
+        streamed = reduce_partials(config, stream())
+        assert released == [True] * len(tasks)
+        full = run_simulation(config, table)
+        assert (streamed.pooled, streamed.per_delta) == (full.pooled, full.per_delta)
+
+    def _partials(self):
+        config = SimulationConfig(dims=(4,), deltas=(1.0, 2.0), matrices_per_cell=10,
+                                  seed=5)
+        table = default_ri_table()
+        return config, [run_task(config, t, table.ri(t.n)) for t in simulation_tasks(config)]
+
+    @pytest.mark.parametrize("drop", [0, 1])
+    def test_missing_partial_rejected(self, drop):
+        config, partials = self._partials()
+        del partials[drop]
+        with pytest.raises(ValueError, match="missing"):
+            reduce_partials(config, partials)
+
+    @pytest.mark.parametrize("repeat", [0, 1])
+    def test_duplicated_partial_rejected(self, repeat):
+        config, partials = self._partials()
+        with pytest.raises(ValueError, match="arrives twice"):
+            reduce_partials(config, partials + [partials[repeat]])
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_worker_count_below_one_rejected(self, workers):
