@@ -7,17 +7,39 @@ matrices in lockstep.  The stopping test is costly next to one small
 mat-vec, so it runs only at fixed step numbers (every _CHECK_EVERY
 mat-vecs, and at the last step of the budget); in between, the iterate
 is only multiplied and renormalized.  Every matrix is checked at the same
-step numbers and frozen at its own stopping point, so per-matrix results
-do not depend on what else shares the batch.
+step numbers and frozen at its own stopping point.
+
+Layout.  A stack is stored batch-last, as a C-contiguous (n, n, B) array,
+and an iterate as (n, B).  A mat-vec is one einsum over rows of length B,
+and every sum over n runs along axis 0, so each matrix's arithmetic is a
+sequence of elementwise operations along the batch axis.  The transpose is
+solved on the same array by swapping the einsum's first two subscripts,
+which gives the bits a contiguous copy of the transposed stack would.
+
+Per-matrix results do not depend on what else shares the batch, on three
+conditions that this module keeps:
+
+1. No stack of width 1 is ever iterated.  At width 1 numpy drops the batch
+   axis, and the einsum and the sums over n (at n >= 8) switch to
+   summation orders of their own.  A lone matrix, and the last matrix left
+   running, therefore iterate as two copies of themselves; both copies
+   have the same bits and stop together.
+2. Every array the loop works on is C-contiguous: a strided input is
+   copied, compaction copies with `np.take`, and each mat-vec writes
+   into a C-contiguous buffer.  On a strided stack, such as a boolean-
+   indexed view, einsum returns its result in another memory order, and
+   the sums over n then add in another order.
+3. Weights are returned as C-contiguous (B, n) rows, the layout every
+   consumer of them does its arithmetic in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# The ufunc reductions behind ndarray.sum, .mean and np.max, called
-# directly: on one small matrix the wrappers cost as much as the arithmetic,
-# and the bits are the same (a mean is the sum divided by the count).
+# The ufunc reductions behind ndarray.sum and np.max, called directly: on a
+# small stack the wrappers cost as much as the arithmetic, and the bits
+# are the same.
 _sum = np.add.reduce
 _max = np.maximum.reduce
 
@@ -25,23 +47,41 @@ _max = np.maximum.reduce
 # 4-15: 8 beat 4, and the stop rounds up by at most 7 mat-vecs.
 _CHECK_EVERY = 8
 
+# Mat-vec of every matrix in an (n, n, B) stack with an (n, B) iterate,
+# and of every transposed matrix.
+_MATVEC = ("ijb,jb->ib", "jib,jb->ib")
 
-def power_iterate(mats: np.ndarray, tol: float, max_iter: int):
-    """Dominant eigenpair of every matrix in a (B, n, n) stack.
+# np.einsum without its __array_function__ dispatch, which the loop's plain
+# arrays never need: on the stack of two that one matrix is solved as, the
+# dispatch costs a quarter of the mat-vec.
+_einsum = np.einsum.__wrapped__
+
+
+def _two_or_more(cols: np.ndarray) -> np.ndarray:
+    """Column indices to iterate: a single column is taken twice, so that
+    no stack of width 1 is ever iterated (rule 1)."""
+    return np.repeat(cols, 2) if cols.size == 1 else cols
+
+
+def power_iterate(mats: np.ndarray, tol: float, max_iter: int, transpose: bool = False):
+    """Dominant eigenpair of every matrix in an (n, n, B) stack, or of
+    every transposed matrix when `transpose` is set.
 
     At steps _CHECK_EVERY, 2 * _CHECK_EVERY, ... and at step max_iter a
     matrix stops once both the componentwise relative change of its
     normalized iterate and its eigen-residual max_i |(A w)_i - lam w_i| / w_i
     are within tol (the residual scaled by lam).  Returns arrays
-    (weights, lam, iterations, residual, converged) where weights rows sum
-    to one and iterations counts matrix-vector products: a multiple of
-    _CHECK_EVERY for a converged matrix, or max_iter.  The residual is the
-    one measured at the reported weights.
+    (weights, lam, iterations, residual, converged) where weights is a
+    C-contiguous (B, n) array whose rows sum to one and iterations counts
+    matrix-vector products: a multiple of _CHECK_EVERY for a converged
+    matrix, or max_iter.  The residual is the one measured at the reported
+    weights.
     """
     mats = np.ascontiguousarray(mats, dtype=float)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError(f"expected a (B, n, n) stack, got shape {mats.shape}")
-    batch, n, _ = mats.shape
+    if mats.ndim != 3 or mats.shape[0] != mats.shape[1]:
+        raise ValueError(f"expected an (n, n, B) stack, got shape {mats.shape}")
+    n, _, batch = mats.shape
+    matvec = _MATVEC[bool(transpose)]
 
     weights = np.full((batch, n), 1.0 / n)
     lam_out = np.zeros(batch)
@@ -49,37 +89,44 @@ def power_iterate(mats: np.ndarray, tol: float, max_iter: int):
     iter_out = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
 
-    idx = np.arange(batch)
-    active = mats
-    w = np.full((batch, n), 1.0 / n)
+    # Column k of the stack solves matrix idx[k].
+    idx = _two_or_more(np.arange(batch))
+    active = mats if idx.size == batch else np.take(mats, idx, axis=2)
+    w = np.full((n, idx.size), 1.0 / n)
+    v = np.empty_like(w)
     it = 0
     while idx.size and it < max_iter:
         check = min(it + _CHECK_EVERY, max_iter)
+        # Between checks the iterate is updated in place: on a narrow stack
+        # allocating the arrays costs as much as the arithmetic.
         for _ in range(check - it - 1):
-            v = np.matmul(active, w[:, :, None])[:, :, 0]
-            w = v / _sum(v, axis=1, keepdims=True)
+            _einsum(matvec, active, w, out=v)
+            np.divide(v, _sum(v, axis=0), out=w)
         it = check
 
-        v = np.matmul(active, w[:, :, None])[:, :, 0]
-        lam = _sum(v / w, axis=1) / n
-        resid = _max(np.abs(v - lam[:, None] * w) / w, axis=1)
-        w_next = v / _sum(v, axis=1, keepdims=True)
-        change = _max(np.abs(w_next - w) / w, axis=1)
+        _einsum(matvec, active, w, out=v)
+        lam = _sum(v / w, axis=0) / n
+        resid = _max(np.abs(v - lam * w) / w, axis=0)
+        w_next = v / _sum(v, axis=0)
+        change = _max(np.abs(w_next - w) / w, axis=0)
         done = (change <= tol) & (resid <= tol * lam)
-        stop = done | (it == max_iter)
-        if stop.any():
+        stop = done if it < max_iter else np.ones_like(done)
+        if np.count_nonzero(stop):  # a quarter of the cost of stop.any() on a narrow stack
             hit = idx[stop]
             # Return the iterate the residual was measured at, so the
             # certificate resid <= tol * lam refers to the reported vector.
-            weights[hit] = w[stop]
+            weights[hit] = w[:, stop].T
             lam_out[hit] = lam[stop]
             resid_out[hit] = resid[stop]
             iter_out[hit] = it
             converged[hit] = done[stop]
-            keep = ~stop
-            idx = idx[keep]
-            active = active[keep]
-            w_next = w_next[keep]
+            cols = _two_or_more(np.flatnonzero(~stop))
+            if not cols.size:
+                break
+            idx = idx[cols]
+            active = np.take(active, cols, axis=2)
+            w_next = np.take(w_next, cols, axis=1)
+            v = np.empty_like(w_next)
         w = w_next
 
     return weights, lam_out, iter_out, resid_out, converged

@@ -201,7 +201,7 @@ def _random_reciprocal_batch(n: int, count: int, rng: np.random.Generator,
         upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(count, len(iu))))
     else:
         raise ValueError(f"unknown scale {scale!r}; expected 'saaty' or 'log-uniform'")
-    return reciprocal_from_upper(upper, n)
+    return reciprocal_from_upper(upper.T, n)
 
 
 def _ri_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -> float:

@@ -185,14 +185,15 @@ def _check_positive(a: np.ndarray) -> None:
 
 
 def reciprocal_from_upper(upper, n: int) -> np.ndarray:
-    """(..., n, n) matrices from their upper-triangle entries, given in
-    row-major order along the last axis: each lower entry is the reciprocal
-    of its mirror and the diagonal is one."""
+    """(n, n, ...) matrices from their upper-triangle entries, given in
+    row-major order along the first axis: each lower entry is the reciprocal
+    of its mirror and the diagonal is one.  A stack is batch-last, the
+    layout of `power_iterate`."""
     upper = np.asarray(upper, dtype=float)
     iu, ju = np.triu_indices(n, 1)
-    mats = np.ones(upper.shape[:-1] + (n, n))
-    mats[..., iu, ju] = upper
-    mats[..., ju, iu] = 1.0 / upper
+    mats = np.ones((n, n) + upper.shape[1:])
+    mats[iu, ju] = upper
+    mats[ju, iu] = 1.0 / upper
     return mats
 
 

@@ -149,9 +149,22 @@ class CrHistogram:
         return int(self.counts[(n, delta)].sum())
 
     def fraction_below(self, n: int, delta: float, cr: float) -> float:
-        """Share of matrices in the cell with CR strictly below a bin edge."""
+        """Share of matrices in the cell with CR strictly below `cr`.
+
+        `cr` must be a bin edge in [0, cr_cap]: a multiple of bin_width
+        below the cap, or the cap itself.  The overflow bucket (CR at or
+        above the cap) is never below.  Raises ValueError for any other
+        value, since the histogram cannot split a bin.
+        """
         arr = self.counts[(n, delta)]
-        upto = int(round(cr / self.bin_width))
+        n_bins = len(arr) - 1
+        upto = round(cr / self.bin_width) if math.isfinite(cr) else -1
+        if math.isclose(cr, self.cr_cap, rel_tol=1e-9):
+            upto = n_bins
+        elif not (0 <= upto < n_bins and math.isclose(cr / self.bin_width, upto,
+                                                       rel_tol=1e-9, abs_tol=1e-9)):
+            raise ValueError(f"cr {cr} is not a bin edge in [0, {self.cr_cap}] "
+                             f"(bin width {self.bin_width})")
         return float(arr[:upto].sum() / arr.sum())
 
 
@@ -170,22 +183,25 @@ class SimulationResult:
 
 def perturbed_batch(config: GeneratorConfig, rng: np.random.Generator,
                     count: int) -> np.ndarray:
-    """Stack of `count` perturbed-consistent matrices as a (count, n, n) array.
+    """Stack of `count` perturbed-consistent matrices as an (n, n, count)
+    array, the batch-last layout of `power_iterate`.
 
     Draw order is fixed: first the weight block, then one epsilon per
     unordered pair in row-major upper-triangle order.
     """
     n = config.n
-    weights = rng.uniform(config.weight_low, config.weight_high, size=(count, n))
-    mats = weights[:, :, None] / weights[:, None, :]
+    weights = rng.uniform(config.weight_low, config.weight_high, size=(count, n)).T
+    # `weights` is a transposed view; order="C" still lays the stack out
+    # batch-last in memory, as power_iterate needs it.
+    mats = np.divide(weights[:, None, :], weights[None, :, :], order="C")
     iu, ju = np.triu_indices(n, 1)
-    eps = rng.uniform(-config.delta, config.delta, size=(count, len(iu)))
+    eps = rng.uniform(-config.delta, config.delta, size=(count, len(iu))).T
 
-    upper = mats[:, iu, ju]
+    upper = mats[iu, ju]
     # The entry >= 1 of each pair is the one perturbed; on a tied pair
     # (probability zero under continuous draws) the upper entry is taken.
     use_upper = upper >= 1.0
-    base = np.where(use_upper, upper, mats[:, ju, iu])
+    base = np.where(use_upper, upper, mats[ju, iu])
     shifted = base + eps
     below = shifted < 1.0
     # Folding keeps the noise uniform on the scale where 1/b..1/c spans the
@@ -197,10 +213,10 @@ def perturbed_batch(config: GeneratorConfig, rng: np.random.Generator,
     # Not core.reciprocal_from_upper: where the lower entry was perturbed it
     # is stored as `perturbed` itself, which 1 / (1 / perturbed) need not
     # reproduce bit for bit.
-    mats[:, iu, ju] = np.where(use_upper, perturbed, 1.0 / perturbed)
-    mats[:, ju, iu] = np.where(use_upper, 1.0 / perturbed, perturbed)
+    mats[iu, ju] = np.where(use_upper, perturbed, 1.0 / perturbed)
+    mats[ju, iu] = np.where(use_upper, 1.0 / perturbed, perturbed)
     ii = np.arange(n)
-    mats[:, ii, ii] = 1.0
+    mats[ii, ii] = 1.0
     return mats
 
 
@@ -209,7 +225,7 @@ def generate_perturbed(config: GeneratorConfig,
     """One perturbed-consistent matrix; deterministic given the rng state."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return PCMatrix(perturbed_batch(config, rng, 1)[0])
+    return PCMatrix(perturbed_batch(config, rng, 1)[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +234,14 @@ def generate_perturbed(config: GeneratorConfig,
 
 def batch_vectors(mats: np.ndarray):
     """Right, inverse-left, combined, and row-geometric-mean vectors plus
-    the dominant eigenvalue for a stack of matrices.
+    the dominant eigenvalue for an (n, n, B) stack of matrices.
 
-    Returns (right, inverse_left, combined, rgm, lam, ok) where ok flags
-    rows whose two eigen runs both converged and agree on the eigenvalue.
+    Returns (right, inverse_left, combined, rgm, lam, ok), each vector a
+    (B, n) array of rows, where ok flags matrices whose two eigen runs both
+    converged and agree on the eigenvalue.
     """
     wr, lam_r, _, _, conv_r = power_iterate(mats, _TOL, _MAX_ITERATIONS)
-    transposed = np.ascontiguousarray(mats.transpose(0, 2, 1))
-    wl, lam_l, _, _, conv_l = power_iterate(transposed, _TOL, _MAX_ITERATIONS)
+    wl, lam_l, _, _, conv_l = power_iterate(mats, _TOL, _MAX_ITERATIONS, transpose=True)
     inv, combined, rgm, agree = _vector_rows(mats, wr, wl, lam_r, lam_l, _TOL)
     return wr, inv, combined, rgm, lam_r, conv_r & conv_l & agree
 

@@ -58,16 +58,19 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _rgm_rows(mats: np.ndarray) -> np.ndarray:
-    """Unit-sum row geometric means of every matrix in a (B, n, n) stack."""
-    return _unit_rows(np.exp(np.add.reduce(np.log(mats), axis=2) / mats.shape[2]))
+    """Unit-sum row geometric means, as (B, n) rows, of every matrix in an
+    (n, n, B) stack.  The logs are laid out as a C-contiguous (B, n, n)
+    stack, so each row is summed in the same order at every batch size."""
+    logs = np.log(mats.transpose(2, 0, 1), order="C")
+    return _unit_rows(np.exp(np.add.reduce(logs, axis=2) / logs.shape[2]))
 
 
 def _vector_rows(mats: np.ndarray, right: np.ndarray, left: np.ndarray,
                  lam_right: np.ndarray, lam_left: np.ndarray, tol: float):
-    """Inverse-left, combined and row-geometric-mean rows of a (B, n, n)
+    """Inverse-left, combined and row-geometric-mean rows of an (n, n, B)
     stack from its right and left rows and eigenvalues as `power_iterate`
     returns them, and whether each matrix's two eigenvalues agree."""
-    n = mats.shape[1]
+    n = mats.shape[0]
     agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * n * tol) * lam_right
     inverse_left = _unit_rows(1.0 / left)
     combined = _unit_rows(right * inverse_left)
@@ -87,8 +90,9 @@ def _solved(matrix: PCMatrix) -> tuple:
     """
     if matrix._eigen is None:
         a = matrix.entries
-        w, lam, iters, resid, conv = power_iterate(np.stack([a, a.T]), _TOL, _MAX_ITERATIONS)
-        *rows, agree = _vector_rows(a[None], w[:1], w[1:], lam[:1], lam[1:], _TOL)
+        w, lam, iters, resid, conv = power_iterate(np.stack([a, a.T], axis=-1), _TOL,
+                                                   _MAX_ITERATIONS)
+        *rows, agree = _vector_rows(a[:, :, None], w[:1], w[1:], lam[:1], lam[1:], _TOL)
         pairs = [
             EigenResult(WeightVector(w[k], Normalization.SUM_ONE, _ROW_METHODS[k]),
                         float(lam[k]), int(iters[k]), float(resid[k]))
@@ -165,7 +169,7 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
     Closed form, no iteration; this is the optimum of the logarithmic
     least squares problem.
     """
-    return WeightVector(_rgm_rows(matrix.entries[None])[0], Normalization.SUM_ONE,
+    return WeightVector(_rgm_rows(matrix.entries[:, :, None])[0], Normalization.SUM_ONE,
                         "row-geometric-mean")
 
 

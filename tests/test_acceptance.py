@@ -131,7 +131,7 @@ def test_criterion_04_three_alternative_reciprocity():
     rng = np.random.default_rng(404)
     count, n = 10_000, 3
     upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(count, n * (n - 1) // 2)))
-    mats = reciprocal_from_upper(upper, n)
+    mats = reciprocal_from_upper(upper.T, n)
     wr, inv, _, _, _, ok_mask = batch_vectors(mats)
     worst = float(np.max(np.abs(inv - wr)))
     elapsed = time.perf_counter() - started
@@ -152,7 +152,7 @@ def test_criterion_05_consistent_matrix_degeneracy():
         mats = w[:, :, None] / w[:, None, :]
         ii = np.arange(n)
         mats[:, ii, ii] = 1.0
-        wr, inv, combined, rgm, lam, ok_mask = batch_vectors(mats)
+        wr, inv, combined, rgm, lam, ok_mask = batch_vectors(mats.transpose(1, 2, 0))
         assert ok_mask.all()
         squared = w * w
         squared /= squared.sum(axis=1, keepdims=True)
@@ -230,7 +230,7 @@ def test_criterion_10_eigen_oracle_equivalence():
         mats[:, iu, ju] = upper
         mats[:, ju, iu] = 1.0 / upper
 
-        wr, _, _, _, _, ok_mask = batch_vectors(mats)
+        wr, _, _, _, _, ok_mask = batch_vectors(mats.transpose(1, 2, 0))
         assert ok_mask.all()
 
         # brute-force oracle: 60 repeated squarings, i.e. the 2^60-th power,

@@ -1,3 +1,5 @@
+import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,17 @@ class TestSimulateCommand:
         assert "counts=2000" in manifest
         assert "ri[4]=" in manifest
         assert "tool_version=" in manifest
+
+    def test_manifest_hashes_every_csv(self, tmp_path, capsys):
+        out_dir = self._run(tmp_path, "run")
+        lines = (out_dir / "manifest.txt").read_text().splitlines()
+        assert f"numpy={np.__version__}" in lines
+        hashes = dict(re.fullmatch(r"sha256\[(.+)\]=([0-9a-f]{64})", line).groups()
+                      for line in lines if line.startswith("sha256["))
+        csvs = sorted(p.name for p in out_dir.iterdir() if p.suffix == ".csv")
+        assert sorted(hashes) == csvs and len(csvs) == 9
+        for name, digest in hashes.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         first = self._run(tmp_path, "one")

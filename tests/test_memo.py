@@ -35,7 +35,7 @@ def solves(monkeypatch):
     calls = []
 
     def counted(mats, tol, max_iter):
-        calls.append(mats.shape[0])
+        calls.append(mats.shape[2])
         return power_iterate(mats, tol, max_iter)
 
     monkeypatch.setattr(weighting, "power_iterate", counted)
@@ -104,7 +104,7 @@ class TestOneSolvePerMatrix:
         again = eigen_system(m)
         assert again[0] is right
         w, lam, iters, resid, conv = power_iterate(
-            np.stack([m.entries, m.entries.T]), weighting._TOL, weighting._MAX_ITERATIONS)
+            np.stack([m.entries, m.entries.T], axis=-1), weighting._TOL, weighting._MAX_ITERATIONS)
         assert conv.all()
         for got, k in ((right, 0), (left, 1)):
             # The raw power-iteration row: the vector the residual certifies.
@@ -153,7 +153,7 @@ class TestNonConvergence:
 
         def half_converged(mats, tol, max_iter):
             w, lam, iters, resid, _ = power_iterate(mats, tol, max_iter)
-            conv = np.array([not np.array_equal(a, transpose) for a in mats])
+            conv = np.array([not np.array_equal(a, transpose) for a in mats.transpose(2, 0, 1)])
             return w, lam, iters, resid, conv
 
         monkeypatch.setattr(weighting, "power_iterate", half_converged)

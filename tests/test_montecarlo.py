@@ -22,6 +22,7 @@ from pcmkit.consistency import SAATY_SCALE, _ci_cr
 from pcmkit.core import ReciprocityPolicy, reciprocal_from_upper
 from pcmkit.metrics import METRICS, comparison_flags, metric_blocks
 from pcmkit.montecarlo import (
+    CrHistogram,
     SimTask,
     batch_vectors,
     perturbed_batch,
@@ -55,7 +56,7 @@ class TestGenerator:
         for n, delta in [(4, 1.0), (6, 2.0), (9, 3.0)]:
             mats = perturbed_batch(GeneratorConfig(n=n, delta=delta), rng, 500)
             for k in range(0, 500, 97):
-                validate(mats[k], ReciprocityPolicy(tolerance=1e-12))
+                validate(mats[:, :, k], ReciprocityPolicy(tolerance=1e-12))
 
     def test_entries_positive_under_heavy_noise(self):
         # the fold keeps entries positive even when the additive branch
@@ -71,8 +72,8 @@ class TestGenerator:
         rng = np.random.default_rng(11)
         large = perturbed_batch(GeneratorConfig(n=5, delta=3.0), rng, 2000)
         table = default_ri_table()
-        cr_small = np.mean([consistency_ratio(validate(m)).cr for m in small[:50]])
-        cr_large = np.mean([consistency_ratio(validate(m)).cr for m in large[:50]])
+        cr_small = np.mean([consistency_ratio(validate(small[:, :, k])).cr for k in range(50)])
+        cr_large = np.mean([consistency_ratio(validate(large[:, :, k])).cr for k in range(50)])
         assert cr_large > cr_small
         assert table.ri(5) > 0
 
@@ -152,11 +153,13 @@ class TestGeneratorAgainstIndependentReference:
 
 def _mixed_batch(n: int, rng: np.random.Generator) -> np.ndarray:
     """Perturbed, Saaty-scale and exactly consistent matrices of order n,
-    shuffled: ties in a vector and vectors that coincide are all covered."""
+    shuffled: ties in a vector and vectors that coincide are all covered.
+    Returned as a (B, n, n) stack."""
     perturbed = np.concatenate([perturbed_batch(GeneratorConfig(n, delta), rng, 10)
-                                for delta in (0.5, 1.0, 3.0)])
+                                for delta in (0.5, 1.0, 3.0)], axis=2).transpose(2, 0, 1)
     k = n * (n - 1) // 2
-    saaty = reciprocal_from_upper(SAATY_SCALE[rng.integers(0, len(SAATY_SCALE), (30, k))], n)
+    upper = SAATY_SCALE[rng.integers(0, len(SAATY_SCALE), (30, k))]
+    saaty = reciprocal_from_upper(upper.T, n).transpose(2, 0, 1)
     w = rng.uniform(1.0, 9.0, (20, n))
     consistent = w[:, :, None] / w[:, None, :]
     consistent[:, np.arange(n), np.arange(n)] = 1.0
@@ -178,7 +181,8 @@ class TestBatchMatchesScalarPath:
         checked = 0
         for n in range(3, 16):
             mats = _mixed_batch(n, rng)
-            wr, inv, combined, rgm, lam, ok = batch_vectors(mats)
+            wr, inv, combined, rgm, lam, ok = batch_vectors(
+                np.ascontiguousarray(mats.transpose(1, 2, 0)))
             assert ok.all()
             values = metric_blocks(wr, (inv, combined, rgm))
             closer, top = comparison_flags(values, wr, inv)
@@ -225,6 +229,37 @@ class TestClosestProbability:
                    for _ in range(10)]
         for metric in METRICS:
             assert np.mean([r.closer[metric] for r in records]) == 1.0
+
+
+class TestFractionBelow:
+    @pytest.fixture()
+    def histogram(self):
+        # 50 records in bin 10, [0.05, 0.055), and 50 in the overflow bucket.
+        counts = np.zeros(101, dtype=np.int64)
+        counts[10] = counts[100] = 50
+        return CrHistogram(0.005, 0.5, {(4, 1.0): counts})
+
+    @pytest.mark.parametrize("cr, share", [(0.0, 0.0), (0.05, 0.0), (0.055, 0.5),
+                                           (0.1, 0.5), (0.495, 0.5), (0.5, 0.5)])
+    def test_bin_edges(self, histogram, cr, share):
+        assert histogram.fraction_below(4, 1.0, cr) == share
+
+    @pytest.mark.parametrize("cr", [0.6, 0.0526, -0.005, 0.5001, float("nan"), float("inf")])
+    def test_value_that_is_not_a_bin_edge_rejected(self, histogram, cr):
+        with pytest.raises(ValueError, match="not a bin edge"):
+            histogram.fraction_below(4, 1.0, cr)
+
+    def test_cap_that_is_not_a_multiple_of_the_width(self):
+        # bin_width 0.03 under cap 0.1: edges 0, 0.03, 0.06, 0.09 and the cap.
+        config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=1,
+                                  bin_width=0.03, cr_cap=0.1)
+        counts = np.array([1, 2, 3, 4, 5])
+        histogram = CrHistogram(config.bin_width, config.cr_cap, {(4, 1.0): counts})
+        assert config.n_bins == 4
+        assert histogram.fraction_below(4, 1.0, 0.09) == 6 / 15
+        assert histogram.fraction_below(4, 1.0, 0.1) == 10 / 15
+        with pytest.raises(ValueError):
+            histogram.fraction_below(4, 1.0, 0.12)
 
 
 @pytest.fixture(scope="module")

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
 
-from pcmkit import GeneratorConfig, PCMatrix, eigen_system
+from pcmkit import (GeneratorConfig, PCMatrix, combined_eigenvector, eigen_system,
+                    inverse_left_eigenvector, row_geometric_mean)
 from pcmkit._power import _CHECK_EVERY, power_iterate
 from pcmkit.consistency import _random_reciprocal_batch
-from pcmkit.montecarlo import perturbed_batch
+from pcmkit.montecarlo import batch_vectors, perturbed_batch
 from pcmkit.weighting import _MAX_ITERATIONS as MAX_ITER, _TOL as TOL
 
 
 def _pool(n: int = 5, count: int = 300) -> np.ndarray:
     """Near-consistent and Saaty-scale matrices mixed, so rows stop at
-    different check steps and the active stack is compacted mid-run."""
+    different check steps and the active stack is compacted mid-run.
+    Returned as a C-contiguous (n, n, count) stack."""
     rng = np.random.default_rng(2022)
     near = perturbed_batch(GeneratorConfig(n, 1.0), rng, count // 2)
     saaty = _random_reciprocal_batch(n, count - count // 2, rng, "saaty")
-    mats = np.concatenate([near, saaty])
-    return mats[rng.permutation(count)]
+    mats = np.concatenate([near, saaty], axis=2)
+    return np.ascontiguousarray(mats[:, :, rng.permutation(count)])
 
 
 def _rows(result, k):
@@ -35,8 +37,8 @@ class TestBatchIndependence:
 
     @pytest.fixture(scope="class")
     def alone(self, pool):
-        return [_rows(power_iterate(pool[k:k + 1], TOL, MAX_ITER), 0)
-                for k in range(len(pool))]
+        return [_rows(power_iterate(pool[:, :, k:k + 1], TOL, MAX_ITER), 0)
+                for k in range(pool.shape[2])]
 
     def test_stops_are_spread_over_several_checks(self, alone):
         iterations = {int(r[2]) for r in alone}
@@ -44,18 +46,18 @@ class TestBatchIndependence:
 
     def test_full_batch_of_300(self, pool, alone):
         result = power_iterate(pool, TOL, MAX_ITER)
-        for k in range(len(pool)):
+        for k in range(pool.shape[2]):
             _assert_same_bits(_rows(result, k), alone[k])
 
     def test_shuffled_batch(self, pool, alone):
-        order = np.random.default_rng(7).permutation(len(pool))
-        result = power_iterate(pool[order], TOL, MAX_ITER)
+        order = np.random.default_rng(7).permutation(pool.shape[2])
+        result = power_iterate(pool[:, :, order], TOL, MAX_ITER)
         for pos, k in enumerate(order):
             _assert_same_bits(_rows(result, pos), alone[k])
 
     def test_batches_of_7(self, pool, alone):
-        for start in range(0, len(pool) - 6, 7):
-            result = power_iterate(pool[start:start + 7], TOL, MAX_ITER)
+        for start in range(0, pool.shape[2] - 6, 7):
+            result = power_iterate(pool[:, :, start:start + 7], TOL, MAX_ITER)
             for j in range(7):
                 _assert_same_bits(_rows(result, j), alone[start + j])
 
@@ -64,8 +66,9 @@ class TestBatchIndependence:
         assert conv.all()
         assert np.all(resid <= TOL * lam)
         # The residual is recomputed from the returned weights, not trusted.
-        v = np.matmul(pool, weights[:, :, None])[:, :, 0]
-        recomputed = np.max(np.abs(v - lam[:, None] * weights) / weights, axis=1)
+        w = np.ascontiguousarray(weights.T)
+        v = np.einsum("ijb,jb->ib", pool, w)
+        recomputed = np.max(np.abs(v - lam * w) / w, axis=0)
         assert np.array_equal(recomputed, resid)
         assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
@@ -87,7 +90,7 @@ class TestBudget:
         assert set(iters[conv].tolist()) <= {_CHECK_EVERY, budget}
 
     def test_budget_below_one_check(self):
-        mats = _pool()[:10]
+        mats = _pool()[:, :, :10]
         _, _, iters, _, conv = power_iterate(mats, TOL, 2)
         assert not conv.any()
         assert np.all(iters == 2)
@@ -95,9 +98,9 @@ class TestBudget:
 
 class TestEigenSystemSharesTheKernel:
     def test_same_bits_as_separate_runs(self):
-        for entries in _pool(n=6, count=40):
+        for entries in _pool(n=6, count=40).transpose(2, 0, 1):
             pair = eigen_system(PCMatrix(entries))
-            alone = [power_iterate(m[None], TOL, MAX_ITER) for m in (entries, entries.T)]
+            alone = [power_iterate(m[:, :, None], TOL, MAX_ITER) for m in (entries, entries.T)]
             for result, (w, lam, iters, resid, conv) in zip(pair, alone):
                 assert conv[0]
                 assert result.weights.priorities.tobytes() == w[0].tobytes()
@@ -105,3 +108,82 @@ class TestEigenSystemSharesTheKernel:
                 assert result.residual == resid[0]
             # Both results report the right-hand eigenvalue.
             assert pair[0].lambda_max == pair[1].lambda_max == alone[0][1][0]
+
+
+@pytest.fixture(scope="module", params=[3, 5, 9, 15], ids=lambda n: f"n{n}")
+def order_pool(request):
+    """A pool of one order with its right and transpose solves as a
+    contiguous full batch: the bits every narrower solve must give."""
+    pool = _pool(n=request.param)
+    full = {transpose: power_iterate(pool, TOL, MAX_ITER, transpose)
+            for transpose in (False, True)}
+    return pool, full
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["right", "transpose"])
+class TestNarrowAndStridedStacks:
+    """The three ways a stack can differ from a contiguous full batch: a
+    lone matrix, a single matrix left running, and a strided input."""
+
+    def test_lone_matrix(self, order_pool, transpose):
+        pool, full = order_pool
+        for k in range(0, pool.shape[2], 5):
+            lone = power_iterate(pool[:, :, k:k + 1], TOL, MAX_ITER, transpose)
+            _assert_same_bits(_rows(lone, 0), _rows(full[transpose], k))
+
+    def test_one_matrix_outlives_the_rest(self, order_pool, transpose):
+        pool, full = order_pool
+        iters = full[transpose][2]
+        last = int(np.argmax(iters))
+        early = np.flatnonzero(iters <= iters[last] - _CHECK_EVERY)[:6]
+        assert early.size == 6
+        picked = np.append(early, last)
+        result = power_iterate(pool[:, :, picked], TOL, MAX_ITER, transpose)
+        for pos, k in enumerate(picked):
+            _assert_same_bits(_rows(result, pos), _rows(full[transpose], k))
+
+    def test_boolean_masked_input(self, order_pool, transpose):
+        pool, full = order_pool
+        mask = np.random.default_rng(11).random(pool.shape[2]) < 0.4
+        masked = pool[:, :, mask]
+        assert not masked.flags.c_contiguous
+        result = power_iterate(masked, TOL, MAX_ITER, transpose)
+        for pos, k in enumerate(np.flatnonzero(mask)):
+            _assert_same_bits(_rows(result, pos), _rows(full[transpose], k))
+
+    def test_weights_are_contiguous_rows(self, order_pool, transpose):
+        pool, full = order_pool
+        weights = full[transpose][0]
+        assert weights.shape == (pool.shape[2], pool.shape[0])
+        assert weights.flags.c_contiguous
+
+
+def test_transpose_flag_equals_a_transposed_copy(order_pool):
+    pool, full = order_pool
+    copy = np.ascontiguousarray(pool.transpose(1, 0, 2))
+    _assert_same_bits(power_iterate(copy, TOL, MAX_ITER), full[True])
+
+
+@pytest.mark.parametrize("n", [6, 15])
+def test_matrix_whose_two_solves_stop_apart_matches_the_batch(n):
+    """eigen_system solves A and A^T as a stack of two, so when one stops
+    first the other runs on as two copies of itself; the matrix still gets
+    the batch's bits."""
+    pool = _pool(n=n)
+    right = power_iterate(pool, TOL, MAX_ITER)
+    left = power_iterate(pool, TOL, MAX_ITER, transpose=True)
+    apart = np.flatnonzero(right[2] != left[2])
+    assert apart.size
+    wr, inv, combined, rgm, lam, ok = batch_vectors(pool)
+    for k in apart[:10]:
+        m = PCMatrix(pool[:, :, k])
+        pair = eigen_system(m)
+        assert ok[k]
+        for result, rows in zip(pair, (right, left)):
+            assert result.weights.priorities.tobytes() == rows[0][k].tobytes()
+            assert (result.iterations, result.residual) == (rows[2][k], rows[3][k])
+        assert pair[0].lambda_max == lam[k]
+        assert pair[0].weights.priorities.tobytes() == wr[k].tobytes()
+        assert inverse_left_eigenvector(m).priorities.tobytes() == inv[k].tobytes()
+        assert combined_eigenvector(m).priorities.tobytes() == combined[k].tobytes()
+        assert row_geometric_mean(m).priorities.tobytes() == rgm[k].tobytes()
