@@ -29,8 +29,11 @@ conditions that this module keeps:
    into a C-contiguous buffer.  On a strided stack, such as a boolean-
    indexed view, einsum returns its result in another memory order, and
    the sums over n then add in another order.
-3. Weights are returned as C-contiguous (B, n) rows, the layout every
-   consumer of them does its arithmetic in.
+3. Weights are returned as C-contiguous (B, n) rows.  Every sum over a
+   row that consumers take (the unit-sum scaling, the Euclidean distance)
+   runs in that layout, whose rounding a row gets at any batch size;
+   `metrics.metric_blocks` transposes only for maxima and exact integer
+   sums, whose bits no order can change.
 """
 
 from __future__ import annotations

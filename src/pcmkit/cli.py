@@ -36,9 +36,11 @@ from .core import (
 from .errors import PcmError
 from .metrics import METRICS, PAIRS, compare_methods
 from .montecarlo import (
+    BinColumns,
     GeneratorConfig,
     SimulationConfig,
     SimulationResult,
+    bin_columns,
     generate_perturbed,
     run_simulation,
 )
@@ -226,47 +228,54 @@ def _parse_simulation_config(path) -> tuple[SimulationConfig, str | None]:
     return config, values["ri_table"][1] if "ri_table" in values else None
 
 
-def _write_histogram_csv(path: Path, result: SimulationResult) -> None:
-    config = result.config
-    lines = ["n,delta,bin_lower,count"]
-    for (n, delta) in sorted(result.histogram.counts):
-        counts = result.histogram.counts[(n, delta)]
-        for b, count in enumerate(counts):
-            if count == 0:
-                continue
-            lower = config.cr_cap if b == config.n_bins else b * config.bin_width
-            lines.append(f"{n},{_g12(delta)},{_g12(lower)},{int(count)}")
+def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_histogram_csv(path: Path, cells: dict[tuple[int, float], BinColumns]) -> None:
+    lines = ["n,delta,bin_lower,count"]
+    for (n, delta), c in cells.items():
+        row = f"{n},{_g12(delta)},%.12g,%d"
+        lines += [row % r for r in zip(c.lower.tolist(), c.count.tolist())]
+    _write_lines(path, lines)
 
 
 _BIN_HEADER = "count,mean_R_vs_invL,mean_R_vs_RL,mean_R_vs_RGM,closer_prob,suppressed"
 
 
-def _bin_row(stat, metric: str) -> str:
-    mean = stat.means[metric]
-    return ",".join([
-        str(stat.count),
-        _g12(mean[0]), _g12(mean[1]), _g12(mean[2]),
-        _g12(stat.closer_probability[metric]),
-        "true" if stat.suppressed else "false",
-    ])
+def _bin_lines(prefix: str, c: BinColumns, metric: int) -> list[str]:
+    """One CSV row per non-empty bin: `prefix`, then the lower edge and the
+    _BIN_HEADER columns of `metric`, each float at 12 significant digits."""
+    row = prefix + "%.12g,%d,%.12g,%.12g,%.12g,%.12g,%s"
+    suppressed = np.where(c.suppressed, "true", "false").tolist()
+    return [row % r for r in zip(c.lower.tolist(), c.count.tolist(), *c.means[metric].tolist(),
+                                 c.closer[metric].tolist(), suppressed)]
 
 
-def _write_bin_csvs(out_dir: Path, result: SimulationResult) -> list[Path]:
-    config = result.config
+def _write_bin_csvs(out_dir: Path, orders: dict[int, BinColumns],
+                    cells: dict[tuple[int, float], BinColumns]) -> list[Path]:
     written = []
-    for metric in METRICS:
-        pooled = ["n,bin_lower," + _BIN_HEADER] + [
-            f"{n},{_g12(stat.bin_lower)},{_bin_row(stat, metric)}"
-            for n in config.dims for stat in result.pooled[n]]
-        by_delta = ["n,delta,bin_lower," + _BIN_HEADER] + [
-            f"{n},{_g12(delta)},{_g12(stat.bin_lower)},{_bin_row(stat, metric)}"
-            for (n, delta) in sorted(result.per_delta) for stat in result.per_delta[(n, delta)]]
+    for mi, metric in enumerate(METRICS):
+        pooled = ["n,bin_lower," + _BIN_HEADER]
+        for n, c in orders.items():
+            pooled += _bin_lines(f"{n},", c, mi)
+        by_delta = ["n,delta,bin_lower," + _BIN_HEADER]
+        for (n, delta), c in cells.items():
+            by_delta += _bin_lines(f"{n},{_g12(delta)},", c, mi)
         for path, lines in ((out_dir / f"bins_{metric}.csv", pooled),
                             (out_dir / f"bins_{metric}_by_delta.csv", by_delta)):
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+            _write_lines(path, lines)
             written.append(path)
     return written
+
+
+def _columns(result: SimulationResult) -> tuple[dict[int, BinColumns],
+                                               dict[tuple[int, float], BinColumns]]:
+    """Bin columns of every order, then of every cell in (n, delta) order."""
+    config = result.config
+    return ({n: bin_columns(config, result.order_tables[n]) for n in config.dims},
+            {cell: bin_columns(config, result.cell_tables[cell])
+             for cell in sorted(result.cell_tables)})
 
 
 def _write_manifest(path: Path, config: SimulationConfig, table: RiTable,
@@ -298,19 +307,21 @@ def _write_manifest(path: Path, config: SimulationConfig, table: RiTable,
         lines.append(f"ri[{n}]={_g12(table.ri(n))} [{table.provenance_of(n).describe()}]")
     for csv in csvs:
         lines.append(f"sha256[{csv.name}]={hashlib.sha256(csv.read_bytes()).hexdigest()}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def cmd_simulate(args) -> int:
     config, ri_path = _parse_simulation_config(args.config)
     table = RiTable.from_file(ri_path) if ri_path else default_ri_table()
     workers = _workers(args)
-    result = run_simulation(config, table, workers=workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The result is not kept: once read into columns its tables, which can
+    # be most of the process's memory with fine bins, are freed.
+    orders, cells = _columns(run_simulation(config, table, workers=workers))
     histogram = out_dir / "histogram.csv"
-    _write_histogram_csv(histogram, result)
-    written = [histogram, *_write_bin_csvs(out_dir, result)]
+    _write_histogram_csv(histogram, cells)
+    written = [histogram, *_write_bin_csvs(out_dir, orders, cells)]
     _write_manifest(out_dir / "manifest.txt", config, table, workers, ri_path, written)
     total = config.matrices_per_cell * len(config.cells())
     print(f"simulated {total} matrices across {len(config.cells())} cells; "

@@ -134,6 +134,13 @@ class PCMatrix:
         return self.entries[key]
 
 
+def _require_positive(priorities: np.ndarray) -> None:
+    """The check every WeightVector passes, on priorities of any shape:
+    raises NonPositiveWeightError unless all are finite and above zero."""
+    if not np.all(np.isfinite(priorities) & (priorities > 0.0)):
+        raise NonPositiveWeightError("all priorities must be strictly positive and finite")
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Normalized priority vector with optional provenance tag.
@@ -150,8 +157,7 @@ class WeightVector:
         p = np.asarray(self.priorities, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise NonPositiveWeightError(f"expected a vector of >= 2 priorities, got shape {p.shape}")
-        if not np.all(np.isfinite(p) & (p > 0.0)):
-            raise NonPositiveWeightError("all priorities must be strictly positive and finite")
+        _require_positive(p)
         target = self.normalization.value
         if abs(p.sum() - target) > 1e-9 * target:
             raise NonPositiveWeightError(

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .consistency import RiTable, _ci_cr, default_ri_table
-from .core import PCMatrix, WeightVector
+from .core import PCMatrix, WeightVector, _require_positive
 from .errors import DimensionMismatchError
 from .weighting import _checked, eigen_system
 
@@ -112,22 +112,31 @@ def metric_blocks(right: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray
     every array in `others`, all (batch, n) and unit-sum.
 
     Returns shape (len(METRICS), len(others), batch).  The pairs are taken
-    one at a time so that no more than one (batch, n(n-1)/2) sign block per
+    one at a time so that no more than one (n(n-1)/2, batch) sign block per
     vector is alive at once.
+
+    Maxima and the Kendall sum run batch-last, along axis 0 of C-contiguous
+    (n, batch) transposes, where each is a few elementwise passes over rows
+    of length batch.  Their bits cannot depend on that order: a maximum is
+    exact in any order, and the Kendall sum adds sign products in {-1, 0, 1}
+    into an exact small integer, #concordant - #discordant.  The Euclidean
+    sum of squares stays in (batch, n) row order, whose rounding at n >= 8
+    is the one a row gets in any batch.
     """
     batch, n = right.shape
     out = np.empty((len(METRICS), len(others), batch))
     iu, ju = np.triu_indices(n, 1)
     pairs = n * (n - 1) / 2
-    sign_r = np.sign(right[:, iu] - right[:, ju])
+    right_t = np.ascontiguousarray(right.T)
+    sign_r = np.sign(right_t[iu] - right_t[ju])
     for p, other in enumerate(others):
         diff = right - other
         out[0, p] = np.sqrt(_sum(diff * diff, axis=1))
-        out[1, p] = _max(np.abs(diff), axis=1)
-        ratio = right / other
-        out[2, p] = _max(np.maximum(ratio, 1.0 / ratio), axis=1)
-        prod = sign_r * np.sign(other[:, iu] - other[:, ju])
-        out[3, p] = (_sum(prod > 0, axis=1) - _sum(prod < 0, axis=1)) / pairs
+        other_t = np.ascontiguousarray(other.T)
+        out[1, p] = _max(np.abs(right_t - other_t), axis=0)
+        ratio = right_t / other_t
+        out[2, p] = _max(np.maximum(ratio, 1.0 / ratio), axis=0)
+        out[3, p] = _sum(sign_r * np.sign(other_t[iu] - other_t[ju]), axis=0) / pairs
     return out
 
 
@@ -169,9 +178,12 @@ def compare_methods(matrix: PCMatrix, ri_table: RiTable | None = None) -> Compar
     """Evaluate all four metrics for one matrix against all three vectors.
 
     Bit for bit the record the simulation computes for the same matrix.
+    Raises NonPositiveWeightError, as the WeightVector of each would, when
+    the inverse-left, combined or RGM vector is not positive and finite.
     """
     table = ri_table if ri_table is not None else default_ri_table()
     right, _ = eigen_system(matrix)
     inverse_left, combined, rgm = _checked(matrix)[2]
+    _require_positive(np.array((inverse_left, combined, rgm)))
     _, cr = _ci_cr(right.lambda_max, matrix.n, table.ri(matrix.n))
     return record_from_vectors(right.weights.priorities, inverse_left, combined, rgm, float(cr))

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -169,12 +169,95 @@ class CrHistogram:
 
 
 @dataclass(frozen=True)
+class BinColumns:
+    """The non-empty bins of one bin table as aligned columns, in bin order.
+
+    `means` is (len(METRICS), pairs, bins) and `closer` is (len(METRICS),
+    bins); the other columns hold one value per bin.
+    """
+
+    lower: np.ndarray
+    count: np.ndarray
+    means: np.ndarray
+    closer: np.ndarray
+    top_reversal: np.ndarray
+    suppressed: np.ndarray
+    overflow: np.ndarray
+
+
+def bin_columns(config: SimulationConfig, table: np.ndarray) -> BinColumns:
+    """Per-bin columns of a bin table: the CSVs and BinStatistics read a
+    table through this alone.
+
+    Each value has the bits of the scalar arithmetic it replaces: a sum
+    divided by its bin's count, and a lower edge b * bin_width.
+    """
+    index = np.flatnonzero(table[0])
+    block = table[:, index]
+    count = block[0]
+    overflow = index == config.n_bins
+    return BinColumns(
+        lower=np.where(overflow, config.cr_cap, index * config.bin_width),
+        count=count.astype(np.int64),
+        means=(block[1:_CLOSER] / count).reshape(len(METRICS), _PAIR_COUNT, -1),
+        closer=block[_CLOSER:-1] / count,
+        top_reversal=block[-1] / count,
+        suppressed=count < config.min_bin_count,
+        overflow=overflow,
+    )
+
+
+def _bin_statistics(config: SimulationConfig, table: np.ndarray, n: int,
+                    delta: float | None) -> tuple[BinStatistics, ...]:
+    c = bin_columns(config, table)
+    rows = zip(c.lower.tolist(), c.count.tolist(), c.means.transpose(2, 0, 1).tolist(),
+               c.closer.T.tolist(), c.top_reversal.tolist(), c.suppressed.tolist(),
+               c.overflow.tolist())
+    return tuple(
+        BinStatistics(n=n, delta=delta, bin_lower=lower, count=count,
+                      means={m: tuple(v) for m, v in zip(METRICS, means)},
+                      closer_probability=dict(zip(METRICS, closer)),
+                      top_reversal_rate=top, suppressed=suppressed, overflow=overflow)
+        for lower, count, means, closer, top, suppressed, overflow in rows)
+
+
+class _StatisticsView(Mapping):
+    """The BinStatistics of every bin table in `tables`, built on access.
+    A key is an order, for tables pooled over deltas, or an (n, delta) cell."""
+
+    def __init__(self, config: SimulationConfig, tables: Mapping):
+        self._config, self._tables = config, tables
+
+    def __getitem__(self, key) -> tuple[BinStatistics, ...]:
+        n, delta = key if isinstance(key, tuple) else (key, None)
+        return _bin_statistics(self._config, self._tables[key], n, delta)
+
+    def __iter__(self):
+        return iter(self._tables)
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+
+@dataclass(frozen=True)
 class SimulationResult:
+    """Bin tables of a finished run: `cell_tables[(n, delta)]` per cell and
+    `order_tables[n]` pooled over the deltas.  `bin_columns` reads them;
+    `pooled` and `per_delta` view them as BinStatistics."""
+
     config: SimulationConfig
     histogram: CrHistogram
-    pooled: Mapping[int, tuple[BinStatistics, ...]]
-    per_delta: Mapping[tuple[int, float], tuple[BinStatistics, ...]]
+    cell_tables: Mapping[tuple[int, float], np.ndarray]
+    order_tables: Mapping[int, np.ndarray]
     nonconverged: int
+
+    @property
+    def pooled(self) -> Mapping[int, tuple[BinStatistics, ...]]:
+        return _StatisticsView(self.config, self.order_tables)
+
+    @property
+    def per_delta(self) -> Mapping[tuple[int, float], tuple[BinStatistics, ...]]:
+        return _StatisticsView(self.config, self.cell_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -303,30 +386,9 @@ def run_task(config: SimulationConfig, task: SimTask, ri: float) -> TaskPartial:
     return TaskPartial(task.cell_index, task.batch_index, table.reshape(_ROWS, -1), nonconverged)
 
 
-def _bin_statistics(table: np.ndarray, config: SimulationConfig, n: int,
-                    delta: float | None) -> tuple[BinStatistics, ...]:
-    out = []
-    for b in np.flatnonzero(table[0]).tolist():
-        count = int(table[0, b])
-        means = table[1:_CLOSER, b].reshape(len(METRICS), _PAIR_COUNT) / count
-        closer = table[_CLOSER:-1, b] / count
-        out.append(BinStatistics(
-            n=n,
-            delta=delta,
-            bin_lower=config.cr_cap if b == config.n_bins else b * config.bin_width,
-            count=count,
-            means={m: tuple(means[mi].tolist()) for mi, m in enumerate(METRICS)},
-            closer_probability=dict(zip(METRICS, closer.tolist())),
-            top_reversal_rate=float(table[-1, b] / count),
-            suppressed=count < config.min_bin_count,
-            overflow=b == config.n_bins,
-        ))
-    return tuple(out)
-
-
 def reduce_partials(config: SimulationConfig,
                     partials: Iterable[TaskPartial]) -> SimulationResult:
-    """Combine task partials into the final statistics.
+    """Combine task partials into one bin table per cell and per order.
 
     Each partial is added to its cell's bin table when its turn in task
     order, (cell, batch), comes; one that arrives early is held until then,
@@ -363,11 +425,9 @@ def reduce_partials(config: SimulationConfig,
         pooled[n] += table
     histogram = CrHistogram(config.bin_width, config.cr_cap,
                             {cell: t[0].astype(np.int64) for cell, t in zip(cells, tables)})
-    return SimulationResult(
-        config=config, histogram=histogram,
-        pooled={n: _bin_statistics(t, config, n, None) for n, t in pooled.items()},
-        per_delta={cell: _bin_statistics(t, config, *cell) for cell, t in zip(cells, tables)},
-        nonconverged=nonconverged)
+    return SimulationResult(config=config, histogram=histogram,
+                            cell_tables=dict(zip(cells, tables)), order_tables=pooled,
+                            nonconverged=nonconverged)
 
 
 def _check_bin_memory(config: SimulationConfig) -> None:

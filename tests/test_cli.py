@@ -1,11 +1,12 @@
 import hashlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcmkit import format_matrix_text
+from pcmkit import cli, format_matrix_text, montecarlo
 from pcmkit.cli import WORKERS_ENV, _parse_simulation_config, main
 
 FIVE_ALT_TEXT = """5
@@ -39,6 +40,40 @@ bin_width=0.005
 min_bin_count=1000
 cr_cap=0.5
 """
+
+
+# An overflow bucket, suppressed and kept bins, an order of 10 and a bin
+# width that is not a power of ten.
+RENDER_CONFIG = """dims=3,10
+deltas=0.5,4
+counts=1500
+seed=5
+bin_width=0.03
+min_bin_count=60
+cr_cap=0.24
+"""
+
+REFERENCE_BIN_HEADER = "count,mean_R_vs_invL,mean_R_vs_RL,mean_R_vs_RGM,closer_prob,suppressed"
+
+
+def _g12(x) -> str:
+    return format(float(x), ".12g")
+
+
+def _bin_lower(config, b: int) -> float:
+    return config.cr_cap if b == config.n_bins else b * config.bin_width
+
+
+def _reference_bin_row(stat, metric: str) -> str:
+    """A bin's CSV columns after the key, formatted one value at a time from
+    its BinStatistics: the reference the CSV writer must reproduce."""
+    mean = stat.means[metric]
+    return ",".join([
+        str(stat.count),
+        _g12(mean[0]), _g12(mean[1]), _g12(mean[2]),
+        _g12(stat.closer_probability[metric]),
+        "true" if stat.suppressed else "false",
+    ])
 
 
 @pytest.fixture()
@@ -149,6 +184,18 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "euclidean" in out
         assert "top_reversal = true" in out
+
+
+    def test_underflowing_vector_exits_2_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("3\n1 1e300 1e300\n1e-300 1 1\n1e-300 1 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("pcmkit: error: all priorities must be strictly "
+                                "positive and finite\n")
 
 
 class TestGenerateCommand:
@@ -277,6 +324,54 @@ class TestSimulateCommand:
                 count, mean = by_key[(n, round(stat.bin_lower / 0.005))]
                 assert count == stat.count
                 assert mean == pytest.approx(stat.means["euclidean"][0], rel=1e-11)
+
+    def test_unusable_out_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_simulation called before --out was checked")
+
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        config = tmp_path / "sim.cfg"
+        config.write_text(TINY_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["simulate", str(config), "--out", str(taken)]) == 2
+        assert "File exists" in capsys.readouterr().err
+
+    def test_writes_csvs_without_bin_statistics(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("BinStatistics constructed")
+
+        monkeypatch.setattr(montecarlo, "BinStatistics", refuse)
+        self._run(tmp_path, "run", ("--workers", "2"))
+
+    def test_csvs_equal_rows_rendered_from_bin_statistics(self, tmp_path, capsys):
+        from pcmkit import default_ri_table, run_simulation
+
+        config_path = tmp_path / "sim.cfg"
+        config_path.write_text(RENDER_CONFIG)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", str(config_path), "--out", str(out_dir)]) == 0
+        config, _ = _parse_simulation_config(config_path)
+        result = run_simulation(config, default_ri_table())
+        stats = [s for n in config.dims for s in result.pooled[n]]
+        assert 10 in config.dims and any(s.overflow for s in stats)
+        assert {s.suppressed for s in stats} == {True, False}
+
+        want = {"histogram.csv": ["n,delta,bin_lower,count"] + [
+            f"{n},{_g12(delta)},{_g12(_bin_lower(config, b))},{int(count)}"
+            for (n, delta), counts in sorted(result.histogram.counts.items())
+            for b, count in enumerate(counts) if count]}
+        for metric in ("euclidean", "chebyshev", "max_ratio", "kendall"):
+            want[f"bins_{metric}.csv"] = ["n,bin_lower," + REFERENCE_BIN_HEADER] + [
+                f"{n},{_g12(stat.bin_lower)},{_reference_bin_row(stat, metric)}"
+                for n in config.dims for stat in result.pooled[n]]
+            want[f"bins_{metric}_by_delta.csv"] = ["n,delta,bin_lower," + REFERENCE_BIN_HEADER] + [
+                f"{n},{_g12(delta)},{_g12(stat.bin_lower)},{_reference_bin_row(stat, metric)}"
+                for (n, delta) in sorted(result.per_delta)
+                for stat in result.per_delta[(n, delta)]]
+        assert sorted(p.name for p in out_dir.glob("*.csv")) == sorted(want)
+        for name, lines in want.items():
+            assert (out_dir / name).read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_readme_config_example_parses_as_printed(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pcmkit import (
     DimensionMismatchError,
+    NonPositiveWeightError,
     chebyshev,
     compare_methods,
     consistent_from_weights,
@@ -10,6 +13,7 @@ from pcmkit import (
     kendall_tau,
     max_ratio,
     normalize,
+    validate,
 )
 from pcmkit.metrics import METRICS, metric_blocks, record_from_vectors
 
@@ -142,6 +146,15 @@ class TestCompareMethods:
         record = compare_methods(near_consistent, toy_ri_table)
         assert record.any_reversal
         assert record.value("euclidean", "inverse_left") < 0.001
+
+    def test_underflowing_combined_vector_raises(self, toy_ri_table):
+        # Valid entries whose combined vector underflows to zero: the same
+        # refusal as WeightVector gives, before any metric divides by zero.
+        m = validate(np.array([[1.0, 1e300, 1e300], [1e-300, 1.0, 1.0], [1e-300, 1.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveWeightError, match="strictly positive and finite"):
+                compare_methods(m, toy_ri_table)
 
     def test_three_alternatives_degenerate(self, toy_ri_table):
         from conftest import random_reciprocal

@@ -300,6 +300,34 @@ class TestSimulationContracts:
     def test_no_convergence_failures(self, small_result):
         assert small_result.nonconverged == 0
 
+    def test_statistics_equal_per_bin_reference(self, small_result):
+        # The per-bin loop the statistics were once built with, kept as the
+        # reference for the column arithmetic behind them.
+        from pcmkit.montecarlo import _CLOSER, _PAIR_COUNT, BinStatistics
+
+        config = small_result.config
+
+        def reference(table, delta):
+            out = []
+            for b in np.flatnonzero(table[0]).tolist():
+                count = int(table[0, b])
+                means = table[1:_CLOSER, b].reshape(len(METRICS), _PAIR_COUNT) / count
+                out.append(BinStatistics(
+                    n=4, delta=delta,
+                    bin_lower=config.cr_cap if b == config.n_bins else b * config.bin_width,
+                    count=count,
+                    means={m: tuple(means[mi].tolist()) for mi, m in enumerate(METRICS)},
+                    closer_probability=dict(zip(METRICS, (table[_CLOSER:-1, b] / count).tolist())),
+                    top_reversal_rate=float(table[-1, b] / count),
+                    suppressed=count < config.min_bin_count,
+                    overflow=b == config.n_bins))
+            return tuple(out)
+
+        assert small_result.pooled == {4: reference(small_result.order_tables[4], None)}
+        assert small_result.per_delta == {
+            (4, 1.0): reference(small_result.cell_tables[(4, 1.0)], 1.0)}
+        assert {s.suppressed for s in small_result.pooled[4]} == {True, False}
+
 
 class TestDeterminismAndMerging:
     def _config(self):
