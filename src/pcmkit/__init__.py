@@ -51,11 +51,12 @@ from .metrics import (
     max_ratio,
 )
 from .montecarlo import (
-    BinStatistics,
+    BinColumns,
     CrHistogram,
     GeneratorConfig,
     SimulationConfig,
     SimulationResult,
+    bin_columns,
     generate_perturbed,
     run_simulation,
 )

@@ -196,8 +196,10 @@ def _parse_simulation_config(path) -> tuple[SimulationConfig, str | None]:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = (lineno, value.strip())
+            key, _, value = (part.strip() for part in stripped.partition("="))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {values[key][0]}")
+            values[key] = (lineno, value)
     known = {"dims", "deltas", "counts", "seed", "bin_width",
              "min_bin_count", "cr_cap", "ri_table"}
     unknown = set(values) - known
@@ -465,8 +467,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PcmError, ValueError, OSError) as exc:
-        print(f"pcmkit: error: {exc}", file=sys.stderr)
+    except (PcmError, ValueError, OSError, MemoryError) as exc:
+        reason = f"out of memory ({exc})" if isinstance(exc, MemoryError) else exc
+        print(f"pcmkit: error: {reason}", file=sys.stderr)
         return 2
 
 

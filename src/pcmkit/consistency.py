@@ -103,6 +103,7 @@ class RiTable:
     def from_file(cls, path) -> "RiTable":
         values: dict[int, float] = {}
         prov: dict[int, RiProvenance] = {}
+        first: dict[int, int] = {}  # order -> line number
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
@@ -113,10 +114,12 @@ class RiTable:
                     raise ValueError(f"{path}:{lineno}: expected 'n ri samples seed'")
                 try:
                     n, samples, seed = int(parts[0]), int(parts[2]), int(parts[3])
-                    values[n] = float(parts[1])
+                    ri = float(parts[1])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-                prov[n] = RiProvenance("estimated", samples, seed)
+                if first.setdefault(n, lineno) != lineno:
+                    raise ValueError(f"{path}:{lineno}: order {n} repeats line {first[n]}")
+                values[n], prov[n] = ri, RiProvenance("estimated", samples, seed)
         if not values:
             raise ValueError(f"{path}: no random-index entries found")
         try:

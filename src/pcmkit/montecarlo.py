@@ -114,30 +114,8 @@ class SimulationConfig:
         return [(n, d) for n in self.dims for d in self.deltas]
 
 
-@dataclass(frozen=True)
-class BinStatistics:
-    """Aggregates for one consistency-ratio bin.
-
-    `delta` is None for statistics pooled over all perturbation widths.
-    `means[m]` holds the mean of metric m between the right eigenvector
-    and, in order, the inverse-left, combined, and row-geometric-mean
-    vectors; `closer_probability[m]` is the share of records where the row
-    geometric mean was at least as close as the inverse-left vector.  A
-    bin whose lower edge equals the cap collects the overflow.
-    """
-
-    n: int
-    delta: float | None
-    bin_lower: float
-    count: int
-    means: Mapping[str, tuple[float, float, float]]
-    closer_probability: Mapping[str, float]
-    top_reversal_rate: float
-    suppressed: bool
-    overflow: bool = False
-
-
-@dataclass(frozen=True)
+# Dataclasses holding arrays compare by identity: a generated __eq__ raises on them.
+@dataclass(frozen=True, eq=False)
 class CrHistogram:
     """Counts of generated matrices per CR bin for every (n, delta) cell."""
 
@@ -168,12 +146,15 @@ class CrHistogram:
         return float(arr[:upto].sum() / arr.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinColumns:
     """The non-empty bins of one bin table as aligned columns, in bin order.
 
-    `means` is (len(METRICS), pairs, bins) and `closer` is (len(METRICS),
-    bins); the other columns hold one value per bin.
+    `means[m]` is the (pairs, bins) mean of METRICS[m] between the right
+    eigenvector and the inverse-left, combined and RGM vectors; `closer[m]`
+    the share of records whose RGM was at least as close as the inverse-left
+    vector; `top_reversal` the share whose right and inverse-left vectors
+    rank different alternatives first.  The overflow bin's lower edge is the cap.
     """
 
     lower: np.ndarray
@@ -186,8 +167,9 @@ class BinColumns:
 
 
 def bin_columns(config: SimulationConfig, table: np.ndarray) -> BinColumns:
-    """Per-bin columns of a bin table: the CSVs and BinStatistics read a
-    table through this alone.
+    """Per-bin columns of a bin table, pooled (`order_tables[n]`) or of one
+    cell (`cell_tables[(n, delta)]`): the one reader of a bin table, for the
+    CSVs and for library callers alike.
 
     Each value has the bits of the scalar arithmetic it replaces: a sum
     divided by its bin's count, and a lower edge b * bin_width.
@@ -207,57 +189,17 @@ def bin_columns(config: SimulationConfig, table: np.ndarray) -> BinColumns:
     )
 
 
-def _bin_statistics(config: SimulationConfig, table: np.ndarray, n: int,
-                    delta: float | None) -> tuple[BinStatistics, ...]:
-    c = bin_columns(config, table)
-    rows = zip(c.lower.tolist(), c.count.tolist(), c.means.transpose(2, 0, 1).tolist(),
-               c.closer.T.tolist(), c.top_reversal.tolist(), c.suppressed.tolist(),
-               c.overflow.tolist())
-    return tuple(
-        BinStatistics(n=n, delta=delta, bin_lower=lower, count=count,
-                      means={m: tuple(v) for m, v in zip(METRICS, means)},
-                      closer_probability=dict(zip(METRICS, closer)),
-                      top_reversal_rate=top, suppressed=suppressed, overflow=overflow)
-        for lower, count, means, closer, top, suppressed, overflow in rows)
-
-
-class _StatisticsView(Mapping):
-    """The BinStatistics of every bin table in `tables`, built on access.
-    A key is an order, for tables pooled over deltas, or an (n, delta) cell."""
-
-    def __init__(self, config: SimulationConfig, tables: Mapping):
-        self._config, self._tables = config, tables
-
-    def __getitem__(self, key) -> tuple[BinStatistics, ...]:
-        n, delta = key if isinstance(key, tuple) else (key, None)
-        return _bin_statistics(self._config, self._tables[key], n, delta)
-
-    def __iter__(self):
-        return iter(self._tables)
-
-    def __len__(self) -> int:
-        return len(self._tables)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Bin tables of a finished run: `cell_tables[(n, delta)]` per cell and
-    `order_tables[n]` pooled over the deltas.  `bin_columns` reads them;
-    `pooled` and `per_delta` view them as BinStatistics."""
+    `order_tables[n]` pooled over the deltas.  `bin_columns` reads either
+    kind into per-bin means, shares and flags."""
 
     config: SimulationConfig
     histogram: CrHistogram
     cell_tables: Mapping[tuple[int, float], np.ndarray]
     order_tables: Mapping[int, np.ndarray]
     nonconverged: int
-
-    @property
-    def pooled(self) -> Mapping[int, tuple[BinStatistics, ...]]:
-        return _StatisticsView(self.config, self.order_tables)
-
-    @property
-    def per_delta(self) -> Mapping[tuple[int, float], tuple[BinStatistics, ...]]:
-        return _StatisticsView(self.config, self.cell_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +284,7 @@ class SimTask:
     count: int
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskPartial:
     cell_index: int
     batch_index: int

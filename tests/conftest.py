@@ -1,8 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from pcmkit import RiTable, validate
+from pcmkit import METRICS, RiTable, validate
 from pcmkit.core import STRICT_FILE_POLICY, reciprocal_from_upper
+from pcmkit.montecarlo import _CLOSER, _PAIR_COUNT
 from pcmkit.verify import CASES
 
 
@@ -61,3 +64,55 @@ def random_reciprocal(n: int, rng: np.random.Generator):
 def toy_ri_table():
     """Fixed small table so tests do not depend on the shipped estimates."""
     return RiTable.supplied({3: 0.525, 4: 0.88, 5: 1.11, 6: 1.25, 7: 1.34, 8: 1.40, 9: 1.45})
+
+
+class ReferenceBin(NamedTuple):
+    lower: float
+    count: int
+    means: tuple[tuple[float, ...], ...]  # [metric][pair]
+    closer: tuple[float, ...]  # [metric]
+    top_reversal: float
+    suppressed: bool
+    overflow: bool
+
+
+def reference_bins(config, table) -> list[ReferenceBin]:
+    """The non-empty bins of a bin table, built one bin at a time in scalar
+    Python arithmetic: an independent reference for `bin_columns`."""
+    out = []
+    for b in range(table.shape[1]):
+        sums = table[:, b].tolist()
+        count = int(sums[0])
+        if not count:
+            continue
+        means = [s / count for s in sums[1:_CLOSER]]
+        out.append(ReferenceBin(
+            lower=config.cr_cap if b == config.n_bins else b * config.bin_width,
+            count=count,
+            means=tuple(tuple(means[m * _PAIR_COUNT:(m + 1) * _PAIR_COUNT])
+                        for m in range(len(METRICS))),
+            closer=tuple(s / count for s in sums[_CLOSER:-1]),
+            top_reversal=sums[-1] / count,
+            suppressed=count < config.min_bin_count,
+            overflow=b == config.n_bins))
+    return out
+
+
+def assert_columns_match_reference(columns, reference: list[ReferenceBin]) -> None:
+    """Every column of a BinColumns has the bits, dtype and shape of the
+    same column gathered from the reference bins."""
+    want = {
+        "lower": [r.lower for r in reference],
+        "count": [r.count for r in reference],
+        "means": [[[r.means[m][p] for r in reference] for p in range(_PAIR_COUNT)]
+                  for m in range(len(METRICS))],
+        "closer": [[r.closer[m] for r in reference] for m in range(len(METRICS))],
+        "top_reversal": [r.top_reversal for r in reference],
+        "suppressed": [r.suppressed for r in reference],
+        "overflow": [r.overflow for r in reference],
+    }
+    for name, values in want.items():
+        got = getattr(columns, name)
+        expected = np.array(values, dtype=got.dtype)
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from pcmkit import (
+    METRICS,
     SimulationConfig,
+    bin_columns,
     consistency_ratio,
     default_ri_table,
     inverse_left_eigenvector,
@@ -52,8 +54,11 @@ def desk_run_n6():
 
 
 def _qualifying_bins(result, n):
-    return [stat for stat in result.pooled[n]
-            if not stat.overflow and stat.bin_lower < 0.1 and stat.count >= 1000]
+    """Means and closer shares of the pooled bins of order n below CR 0.1
+    that hold at least 1000 records, one column per bin."""
+    c = bin_columns(result.config, result.order_tables[n])
+    keep = ~c.overflow & (c.lower < 0.1) & (c.count >= 1000)
+    return c.means[:, :, keep], c.closer[:, keep]
 
 
 def test_criterion_01_published_example_suite():
@@ -181,10 +186,9 @@ def test_criterion_06_generator_inconsistency_profile(figure2_run):
 
 
 def test_criterion_07_row_geometric_mean_midpoint(desk_run_n6):
-    ratios = []
-    for stat in _qualifying_bins(desk_run_n6, 6):
-        means = stat.means["euclidean"]
-        ratios.append(means[2] / means[0])
+    means, _ = _qualifying_bins(desk_run_n6, 6)
+    euclidean = means[METRICS.index("euclidean")]
+    ratios = (euclidean[2] / euclidean[0]).tolist()
     ok = len(ratios) > 0 and all(0.40 <= r <= 0.60 for r in ratios)
     detail = f"{len(ratios)} bins, ratio range [{min(ratios):.3f}, {max(ratios):.3f}]" if ratios else "no bins"
     _report(7, "row geometric mean sits midway between the eigenvectors", ok, detail)
@@ -192,12 +196,12 @@ def test_criterion_07_row_geometric_mean_midpoint(desk_run_n6):
 
 
 def test_criterion_08_closer_probabilities(desk_run_n6):
-    bins = _qualifying_bins(desk_run_n6, 6)
-    euc = [stat.closer_probability["euclidean"] for stat in bins]
-    cheb = [stat.closer_probability["chebyshev"] for stat in bins]
-    ken = [stat.closer_probability["kendall"] for stat in bins]
-    ok = (len(bins) > 0 and min(euc) >= 0.95 and min(cheb) >= 0.99 and min(ken) >= 0.95)
-    detail = (f"{len(bins)} bins; min closer-prob euclidean {min(euc):.4f}, "
+    _, closer = _qualifying_bins(desk_run_n6, 6)
+    euc, cheb, ken = (closer[METRICS.index(m)].tolist()
+                      for m in ("euclidean", "chebyshev", "kendall"))
+    bins = closer.shape[1]
+    ok = (bins > 0 and min(euc) >= 0.95 and min(cheb) >= 0.99 and min(ken) >= 0.95)
+    detail = (f"{bins} bins; min closer-prob euclidean {min(euc):.4f}, "
               f"chebyshev {min(cheb):.4f}, kendall {min(ken):.4f}") if bins else "no bins"
     _report(8, "row geometric mean is almost always the closer vector", ok, detail)
     assert ok

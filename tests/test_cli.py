@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcmkit import cli, format_matrix_text, montecarlo
+from pcmkit import METRICS, bin_columns, cli, format_matrix_text
 from pcmkit.cli import WORKERS_ENV, _parse_simulation_config, main
+
+from conftest import reference_bins
 
 FIVE_ALT_TEXT = """5
 1    1    3    9  9
@@ -64,15 +66,15 @@ def _bin_lower(config, b: int) -> float:
     return config.cr_cap if b == config.n_bins else b * config.bin_width
 
 
-def _reference_bin_row(stat, metric: str) -> str:
-    """A bin's CSV columns after the key, formatted one value at a time from
-    its BinStatistics: the reference the CSV writer must reproduce."""
-    mean = stat.means[metric]
+def _reference_bin_row(ref, metric: int) -> str:
+    """A bin's CSV columns from its lower edge on, formatted one value at a
+    time from its reference bin: the rows the CSV writer must reproduce."""
+    mean = ref.means[metric]
     return ",".join([
-        str(stat.count),
+        _g12(ref.lower), str(ref.count),
         _g12(mean[0]), _g12(mean[1]), _g12(mean[2]),
-        _g12(stat.closer_probability[metric]),
-        "true" if stat.suppressed else "false",
+        _g12(ref.closer[metric]),
+        "true" if ref.suppressed else "false",
     ])
 
 
@@ -166,6 +168,14 @@ class TestConsistencyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(table) in captured.err and "order 5" in captured.err
+
+    def test_repeated_ri_table_order_exits_2(self, five_alt_file, tmp_path, capsys):
+        table = tmp_path / "ri.txt"
+        table.write_text("4 0.9 1000 1\n4 0.5 1000 1\n")
+        assert main(["consistency", five_alt_file, "--ri-table", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pcmkit: error: {table}:2: order 4 repeats line 1\n"
 
     def test_unparseable_ri_table_field_names_file_and_line(self, five_alt_file, tmp_path,
                                                             capsys):
@@ -319,11 +329,14 @@ class TestSimulateCommand:
             parts = line.split(",")
             bin_index = round(float(parts[1]) / 0.005)
             by_key[(int(parts[0]), bin_index)] = (int(parts[2]), float(parts[3]))
+        euclidean = METRICS.index("euclidean")
         for n in (4, 5):
-            for stat in result.pooled[n]:
-                count, mean = by_key[(n, round(stat.bin_lower / 0.005))]
-                assert count == stat.count
-                assert mean == pytest.approx(stat.means["euclidean"][0], rel=1e-11)
+            c = bin_columns(config, result.order_tables[n])
+            for lower, want_count, want_mean in zip(c.lower.tolist(), c.count.tolist(),
+                                                    c.means[euclidean, 0].tolist()):
+                count, mean = by_key[(n, round(lower / 0.005))]
+                assert count == want_count
+                assert mean == pytest.approx(want_mean, rel=1e-11)
 
     def test_unusable_out_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -337,14 +350,7 @@ class TestSimulateCommand:
         assert main(["simulate", str(config), "--out", str(taken)]) == 2
         assert "File exists" in capsys.readouterr().err
 
-    def test_writes_csvs_without_bin_statistics(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("BinStatistics constructed")
-
-        monkeypatch.setattr(montecarlo, "BinStatistics", refuse)
-        self._run(tmp_path, "run", ("--workers", "2"))
-
-    def test_csvs_equal_rows_rendered_from_bin_statistics(self, tmp_path, capsys):
+    def test_csvs_equal_rows_rendered_from_reference_bins(self, tmp_path, capsys):
         from pcmkit import default_ri_table, run_simulation
 
         config_path = tmp_path / "sim.cfg"
@@ -353,22 +359,24 @@ class TestSimulateCommand:
         assert main(["simulate", str(config_path), "--out", str(out_dir)]) == 0
         config, _ = _parse_simulation_config(config_path)
         result = run_simulation(config, default_ri_table())
-        stats = [s for n in config.dims for s in result.pooled[n]]
-        assert 10 in config.dims and any(s.overflow for s in stats)
-        assert {s.suppressed for s in stats} == {True, False}
+        pooled = {n: reference_bins(config, result.order_tables[n]) for n in config.dims}
+        cells = {cell: reference_bins(config, result.cell_tables[cell])
+                 for cell in sorted(result.cell_tables)}
+        refs = [r for bins in pooled.values() for r in bins]
+        assert 10 in config.dims and any(r.overflow for r in refs)
+        assert {r.suppressed for r in refs} == {True, False}
 
         want = {"histogram.csv": ["n,delta,bin_lower,count"] + [
             f"{n},{_g12(delta)},{_g12(_bin_lower(config, b))},{int(count)}"
             for (n, delta), counts in sorted(result.histogram.counts.items())
             for b, count in enumerate(counts) if count]}
         for metric in ("euclidean", "chebyshev", "max_ratio", "kendall"):
+            mi = METRICS.index(metric)
             want[f"bins_{metric}.csv"] = ["n,bin_lower," + REFERENCE_BIN_HEADER] + [
-                f"{n},{_g12(stat.bin_lower)},{_reference_bin_row(stat, metric)}"
-                for n in config.dims for stat in result.pooled[n]]
+                f"{n},{_reference_bin_row(r, mi)}" for n, bins in pooled.items() for r in bins]
             want[f"bins_{metric}_by_delta.csv"] = ["n,delta,bin_lower," + REFERENCE_BIN_HEADER] + [
-                f"{n},{_g12(delta)},{_g12(stat.bin_lower)},{_reference_bin_row(stat, metric)}"
-                for (n, delta) in sorted(result.per_delta)
-                for stat in result.per_delta[(n, delta)]]
+                f"{n},{_g12(delta)},{_reference_bin_row(r, mi)}"
+                for (n, delta), bins in cells.items() for r in bins]
         assert sorted(p.name for p in out_dir.glob("*.csv")) == sorted(want)
         for name, lines in want.items():
             assert (out_dir / name).read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -392,6 +400,30 @@ class TestSimulateCommand:
         config, ri_path = _parse_simulation_config(path)
         assert (config.dims, config.deltas) == ((4,), (1.0,))
         assert ri_path == "a#b.txt"
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_simulation called on a config with a repeated key")
+
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        config = tmp_path / "sim.cfg"
+        config.write_text("dims=4\nseed=1\ndeltas=1\ncounts=100\n seed = 2\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == \
+            f"pcmkit: error: {config}:5: key 'seed' repeats line 2\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_out_of_memory_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.4 GiB")
+
+        monkeypatch.setattr(cli, "run_simulation", exhaust)
+        config = tmp_path / "sim.cfg"
+        config.write_text(TINY_CONFIG)
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pcmkit: error: out of memory (Unable to allocate 6.4 GiB)\n"
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"

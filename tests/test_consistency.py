@@ -151,6 +151,13 @@ class TestRiTableIO:
         with pytest.raises(ValueError):
             RiTable.from_file(path)
 
+    def test_rejects_repeated_order(self, tmp_path):
+        path = tmp_path / "ri.txt"
+        path.write_text("# n ri samples seed\n4 0.9 1000 1\n5 1.1 1000 1\n4 0.5 1000 1\n")
+        with pytest.raises(ValueError) as info:
+            RiTable.from_file(path)
+        assert str(info.value) == f"{path}:4: order 4 repeats line 2"
+
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "ri.txt"
         path.write_text("# nothing here\n")

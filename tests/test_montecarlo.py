@@ -7,6 +7,7 @@ from pcmkit import (
     GeneratorConfig,
     PCMatrix,
     SimulationConfig,
+    bin_columns,
     combined_eigenvector,
     compare_methods,
     consistency_ratio,
@@ -30,6 +31,8 @@ from pcmkit.montecarlo import (
     run_task,
     simulation_tasks,
 )
+
+from conftest import assert_columns_match_reference, reference_bins
 
 
 class TestGenerator:
@@ -269,64 +272,73 @@ def small_result():
     return run_simulation(config, default_ri_table())
 
 
+@pytest.fixture(scope="module")
+def small_columns(small_result):
+    return bin_columns(small_result.config, small_result.order_tables[4])
+
+
+def _assert_same_tables(a, b):
+    """Equal raw sums: every order table, cell table and histogram row."""
+    for x, y in ((a.order_tables, b.order_tables), (a.cell_tables, b.cell_tables),
+                 (a.histogram.counts, b.histogram.counts)):
+        assert list(x) == list(y)
+        for key in x:
+            assert np.array_equal(x[key], y[key]), key
+
+
 class TestSimulationContracts:
-    def test_conservation(self, small_result):
+    def test_conservation(self, small_result, small_columns):
         assert small_result.histogram.total(4, 1.0) == 10_000
-        pooled_count = sum(stat.count for stat in small_result.pooled[4])
-        assert pooled_count == 10_000
+        assert int(small_columns.count.sum()) == 10_000
 
-    def test_suppression_flags(self, small_result):
+    def test_suppression_flags(self, small_result, small_columns):
         config = small_result.config
-        for stat in small_result.pooled[4]:
-            assert stat.suppressed == (stat.count < config.min_bin_count)
-            assert stat.count > 0
+        for count, suppressed in zip(small_columns.count.tolist(),
+                                     small_columns.suppressed.tolist()):
+            assert suppressed == (count < config.min_bin_count)
+            assert count > 0
 
-    def test_bin_lowers_on_grid(self, small_result):
+    def test_bin_lowers_on_grid(self, small_result, small_columns):
         config = small_result.config
-        for stat in small_result.pooled[4]:
-            if stat.overflow:
-                assert stat.bin_lower == config.cr_cap
+        for lower, overflow in zip(small_columns.lower.tolist(),
+                                   small_columns.overflow.tolist()):
+            if overflow:
+                assert lower == config.cr_cap
             else:
-                k = round(stat.bin_lower / config.bin_width)
-                assert abs(stat.bin_lower - k * config.bin_width) < 1e-12
-                assert stat.bin_lower < config.cr_cap
+                k = round(lower / config.bin_width)
+                assert abs(lower - k * config.bin_width) < 1e-12
+                assert lower < config.cr_cap
 
-    def test_probabilities_in_range(self, small_result):
-        for stat in small_result.pooled[4]:
-            for metric, prob in stat.closer_probability.items():
-                assert 0.0 <= prob <= 1.0
-            assert 0.0 <= stat.top_reversal_rate <= 1.0
+    def test_probabilities_in_range(self, small_columns):
+        for prob in small_columns.closer.ravel().tolist():
+            assert 0.0 <= prob <= 1.0
+        for rate in small_columns.top_reversal.tolist():
+            assert 0.0 <= rate <= 1.0
 
     def test_no_convergence_failures(self, small_result):
         assert small_result.nonconverged == 0
 
-    def test_statistics_equal_per_bin_reference(self, small_result):
-        # The per-bin loop the statistics were once built with, kept as the
-        # reference for the column arithmetic behind them.
-        from pcmkit.montecarlo import _CLOSER, _PAIR_COUNT, BinStatistics
-
+    def test_statistics_equal_per_bin_reference(self, small_result, small_columns):
         config = small_result.config
+        tables = [*small_result.order_tables.values(), *small_result.cell_tables.values()]
+        assert len(tables) == 2
+        for table in tables:
+            assert_columns_match_reference(bin_columns(config, table),
+                                           reference_bins(config, table))
+        assert set(small_columns.suppressed.tolist()) == {True, False}
 
-        def reference(table, delta):
-            out = []
-            for b in np.flatnonzero(table[0]).tolist():
-                count = int(table[0, b])
-                means = table[1:_CLOSER, b].reshape(len(METRICS), _PAIR_COUNT) / count
-                out.append(BinStatistics(
-                    n=4, delta=delta,
-                    bin_lower=config.cr_cap if b == config.n_bins else b * config.bin_width,
-                    count=count,
-                    means={m: tuple(means[mi].tolist()) for mi, m in enumerate(METRICS)},
-                    closer_probability=dict(zip(METRICS, (table[_CLOSER:-1, b] / count).tolist())),
-                    top_reversal_rate=float(table[-1, b] / count),
-                    suppressed=count < config.min_bin_count,
-                    overflow=b == config.n_bins))
-            return tuple(out)
-
-        assert small_result.pooled == {4: reference(small_result.order_tables[4], None)}
-        assert small_result.per_delta == {
-            (4, 1.0): reference(small_result.cell_tables[(4, 1.0)], 1.0)}
-        assert {s.suppressed for s in small_result.pooled[4]} == {True, False}
+    def test_results_compare_by_identity(self):
+        # Two equal runs answer == without asking an array for its truth value.
+        config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=200, seed=3)
+        a, b = run_simulation(config), run_simulation(config)
+        _assert_same_tables(a, b)
+        assert a == a and a != b
+        assert a.histogram == a.histogram and a.histogram != b.histogram
+        columns = bin_columns(config, a.order_tables[4])
+        assert columns == columns and columns != bin_columns(config, b.order_tables[4])
+        task, ri = simulation_tasks(config)[0], default_ri_table().ri(4)
+        partial = run_task(config, task, ri)
+        assert partial == partial and partial != run_task(config, task, ri)
 
 
 class TestDeterminismAndMerging:
@@ -339,11 +351,7 @@ class TestDeterminismAndMerging:
         table = default_ri_table()
         serial = run_simulation(config, table, workers=1)
         parallel = run_simulation(config, table, workers=2)
-        for cell in serial.histogram.counts:
-            assert np.array_equal(serial.histogram.counts[cell],
-                                  parallel.histogram.counts[cell])
-        assert serial.pooled == parallel.pooled
-        assert serial.per_delta == parallel.per_delta
+        _assert_same_tables(serial, parallel)
 
     def test_merged_half_runs_equal_full_run(self):
         config = self._config()
@@ -356,11 +364,7 @@ class TestDeterminismAndMerging:
         half_a = partials[::2]
         half_b = partials[1::2]
         merged = reduce_partials(config, list(half_b) + list(half_a))
-        assert merged.pooled == full.pooled
-        assert merged.per_delta == full.per_delta
-        for cell in full.histogram.counts:
-            assert np.array_equal(merged.histogram.counts[cell],
-                                  full.histogram.counts[cell])
+        _assert_same_tables(merged, full)
 
     def test_in_order_stream_releases_each_partial(self):
         config = SimulationConfig(dims=(4, 5), deltas=(1.0,), matrices_per_cell=9000,
@@ -382,7 +386,7 @@ class TestDeterminismAndMerging:
         streamed = reduce_partials(config, stream())
         assert released == [True] * len(tasks)
         full = run_simulation(config, table)
-        assert (streamed.pooled, streamed.per_delta) == (full.pooled, full.per_delta)
+        _assert_same_tables(streamed, full)
 
     def _partials(self):
         config = SimulationConfig(dims=(4,), deltas=(1.0, 2.0), matrices_per_cell=10,
@@ -424,11 +428,9 @@ class TestMonotoneTrend:
         config = SimulationConfig(dims=(5,), deltas=(1.0, 2.0, 3.0),
                                   matrices_per_cell=34_000, seed=2024)
         result = run_simulation(config, default_ri_table())
-        means = [
-            stat.means["euclidean"][0]
-            for stat in result.pooled[5]
-            if not stat.overflow and stat.bin_lower < 0.1 and stat.count >= 1000
-        ]
+        c = bin_columns(config, result.order_tables[5])
+        keep = ~c.overflow & (c.lower < 0.1) & (c.count >= 1000)
+        means = c.means[METRICS.index("euclidean"), 0, keep].tolist()
         assert len(means) >= 10
         assert all(b >= a for a, b in zip(means, means[1:]))
 
