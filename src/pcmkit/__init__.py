@@ -50,17 +50,6 @@ from .metrics import (
     kendall_tau,
     max_ratio,
 )
-from .montecarlo import (
-    BinColumns,
-    CrHistogram,
-    GeneratorConfig,
-    SimulationConfig,
-    SimulationResult,
-    bin_columns,
-    generate_perturbed,
-    run_simulation,
-)
-from .verify import CASES, VerifyCase, run_verification
 from .weighting import (
     EigenResult,
     aggregate_matrices_geometric,
@@ -72,3 +61,28 @@ from .weighting import (
     right_eigenvector,
     row_geometric_mean,
 )
+
+# The simulation and the verification suite load on first use: a caller that
+# weights one matrix does not pay for their import.
+_LAZY = {
+    **dict.fromkeys(("BinColumns", "CrHistogram", "GeneratorConfig", "SimulationConfig",
+                     "SimulationResult", "bin_columns", "generate_perturbed",
+                     "run_simulation"), "montecarlo"),
+    **dict.fromkeys(("CASES", "VerifyCase", "run_verification"), "verify"),
+}
+
+
+def __getattr__(name: str):
+    # Any other name raises, so `from pcmkit import montecarlo` still falls
+    # back to importing the submodule.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

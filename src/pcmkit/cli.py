@@ -12,7 +12,6 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +34,6 @@ from .core import (
 )
 from .errors import PcmError
 from .metrics import METRICS, PAIRS, compare_methods
-from .montecarlo import (
-    BinColumns,
-    GeneratorConfig,
-    SimulationConfig,
-    SimulationResult,
-    bin_columns,
-    generate_perturbed,
-    run_simulation,
-)
-from .verify import run_verification
 from .weighting import (
     aggregate_matrices_geometric,
     aggregate_priorities_geometric,
@@ -54,11 +43,18 @@ from .weighting import (
     row_geometric_mean,
 )
 
+# The simulation and the verification suite are imported by the commands
+# that use them (annotations naming their types are strings here), so the
+# single-matrix commands start without loading either.
+
 WORKERS_ENV = "PCMKIT_WORKERS"
 
 
 def _round_half_away(x: float, places: int = 4) -> str:
-    # Display rounding is half-away-from-zero, not banker's.
+    # Display rounding is half-away-from-zero, not banker's.  Imported here:
+    # only the commands that print weights load decimal.
+    from decimal import ROUND_HALF_UP, Decimal
+
     q = Decimal(1).scaleb(-places)
     return str(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_UP))
 
@@ -165,6 +161,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .montecarlo import GeneratorConfig, generate_perturbed
+
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     config = GeneratorConfig(n=args.n, delta=args.delta, weight_low=args.weight_low,
@@ -187,6 +185,8 @@ def cmd_generate(args) -> int:
 
 
 def _parse_simulation_config(path) -> tuple[SimulationConfig, str | None]:
+    from .montecarlo import SimulationConfig
+
     values: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -274,6 +274,8 @@ def _write_bin_csvs(out_dir: Path, orders: dict[int, BinColumns],
 def _columns(result: SimulationResult) -> tuple[dict[int, BinColumns],
                                                dict[tuple[int, float], BinColumns]]:
     """Bin columns of every order, then of every cell in (n, delta) order."""
+    from .montecarlo import bin_columns
+
     config = result.config
     return ({n: bin_columns(config, result.order_tables[n]) for n in config.dims},
             {cell: bin_columns(config, result.cell_tables[cell])
@@ -313,6 +315,8 @@ def _write_manifest(path: Path, config: SimulationConfig, table: RiTable,
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import run_simulation
+
     config, ri_path = _parse_simulation_config(args.config)
     table = RiTable.from_file(ri_path) if ri_path else default_ri_table()
     workers = _workers(args)
@@ -350,6 +354,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
+
     report = run_verification(_ri_table_from_args(args))
     for outcome in report.outcomes:
         status = "PASS" if outcome.passed else "FAIL"

@@ -13,7 +13,6 @@ seeds recorded in the file) and any table can be swapped in.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
@@ -242,8 +241,21 @@ def _ordered_map(task, args: list[tuple], workers: int) -> Iterator:
 def _pool_map(task, args: list[tuple], workers: int) -> Iterator:
     """The pool lives as long as the stream: it shuts down once the last
     result is drawn or the stream is closed."""
+    # Imported here: the pool pulls in multiprocessing, which a one-worker
+    # run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(task, *zip(*args))
+
+
+def _ri_chunks(n: int, samples: int, seed: int, scale: str) -> list[tuple]:
+    """`_ri_chunk_sum` arguments of every chunk of one order's estimate."""
+    if n < 3:
+        raise ValueError(f"random index needs n >= 3, got {n}")
+    if samples < 1000:
+        raise ValueError(f"need at least 1000 samples for a random index, got {samples}")
+    return [(n, size, seed, k, scale) for k, size in enumerate(_chunk_sizes(samples, _RI_CHUNK))]
 
 
 def estimate_random_index(n: int, samples: int, seed: int, *,
@@ -258,22 +270,23 @@ def estimate_random_index(n: int, samples: int, seed: int, *,
     chunk k is seeded by (seed, k), and the chunk sums are combined in
     chunk order.
     """
-    if n < 3:
-        raise ValueError(f"random index needs n >= 3, got {n}")
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples for a random index, got {samples}")
-    args = [(n, size, seed, k, scale) for k, size in enumerate(_chunk_sizes(samples, _RI_CHUNK))]
+    args = _ri_chunks(n, samples, seed, scale)
     return float(sum(_ordered_map(_ri_chunk_sum, args, workers)) / samples)
 
 
 def build_ri_table(orders, samples: int, base_seed: int, *,
                    scale: str = "saaty", workers: int = 1) -> RiTable:
-    """Estimate RI for several orders; order n uses seed base_seed + n."""
+    """Estimate RI for several orders; order n uses seed base_seed + n.
+
+    Every order's chunks go through one stream, so one pool serves the
+    whole table, and each order's value is the one `estimate_random_index`
+    gives: its chunk sums added in chunk order."""
     _check_workers(workers)
-    values: dict[int, float] = {}
-    prov: dict[int, RiProvenance] = {}
-    for n in sorted(set(int(x) for x in orders)):
-        seed_n = base_seed + n
-        values[n] = estimate_random_index(n, samples, seed_n, scale=scale, workers=workers)
-        prov[n] = RiProvenance("estimated", samples, seed_n)
-    return RiTable(values, prov)
+    orders = sorted(set(int(x) for x in orders))
+    args = [a for n in orders for a in _ri_chunks(n, samples, base_seed + n, scale)]
+    sums: dict[int, list[float]] = {n: [] for n in orders}
+    # The stream is zipped first, so it is drawn to its end and its pool shut down.
+    for total, (n, *_) in zip(_ordered_map(_ri_chunk_sum, args, workers), args):
+        sums[n].append(total)
+    values = {n: float(sum(s) / samples) for n, s in sums.items()}
+    return RiTable(values, {n: RiProvenance("estimated", samples, base_seed + n) for n in orders})

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -83,7 +82,8 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+# Dataclasses holding arrays compare by identity: a generated __eq__ raises on them.
+@dataclass(frozen=True, eq=False)
 class PCMatrix:
     """Immutable positive reciprocal judgment matrix.
 
@@ -94,8 +94,8 @@ class PCMatrix:
 
     `_eigen` is private to `weighting`: one slot, filled on first use,
     holding the Perron pairs of this instance and of its transpose from one
-    solve, and the vectors derived from them.  It takes no part in equality
-    or repr, and is neither pickled nor copied.
+    solve, and the vectors derived from them.  It takes no part in repr,
+    and is neither pickled nor copied.
     """
 
     entries: np.ndarray
@@ -141,12 +141,12 @@ def _require_positive(priorities: np.ndarray) -> None:
         raise NonPositiveWeightError("all priorities must be strictly positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Normalized priority vector with optional provenance tag.
 
     `method` records which derivation produced the vector (for display
-    only); it does not affect equality of the numbers.
+    only).
     """
 
     priorities: np.ndarray
@@ -286,6 +286,8 @@ def _parse_token(token: str, lineno: int) -> float:
     try:
         if "/" in token:
             # Fractions are parsed exactly, then rounded once to float.
+            from fractions import Fraction
+
             return float(Fraction(token))
         return float(token)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -332,6 +334,9 @@ def _printed_interval(token: str, lineno: int) -> tuple[Fraction, Fraction]:
     Fractions and integers are exact (half-unit 0); a decimal such as
     0.574 stands for every value that rounds to it, here +-0.0005.
     """
+    # Imported here, as in _parse_token: fractions loads decimal.
+    from fractions import Fraction
+
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,40 +29,156 @@ from .weighting import (
 )
 
 
-@dataclass
 class _CaseContext:
-    """Lazily computed derived quantities for one matrix."""
+    """Derived quantities of one matrix: its weight vectors on the sum-100
+    scale at once, its CR and comparison record on first use."""
 
-    matrix: PCMatrix
-    ri_table: RiTable
-
-    @cached_property
-    def eigen(self):
-        return eigen_system(self.matrix)
-
-    @cached_property
-    def right100(self) -> np.ndarray:
-        return self.eigen[0].weights.priorities * 100.0
-
-    @cached_property
-    def left100(self) -> np.ndarray:
-        return self.eigen[1].weights.priorities * 100.0
-
-    @cached_property
-    def inverse_left100(self) -> np.ndarray:
-        return inverse_left_eigenvector(self.matrix).priorities * 100.0
+    def __init__(self, matrix: PCMatrix, ri_table: RiTable):
+        self.matrix, self.ri_table = matrix, ri_table
+        right, left = eigen_system(matrix)
+        self.lambda_max = right.lambda_max
+        self.weights100 = {"right": right.weights.priorities * 100.0,
+                           "left": left.weights.priorities * 100.0,
+                           "inverse-left": inverse_left_eigenvector(matrix).priorities * 100.0}
+        self.right100 = self.weights100["right"]
+        self.inverse_left100 = self.weights100["inverse-left"]
 
     @cached_property
     def cr(self) -> float:
-        return report_from_lambda(self.matrix.n, self.eigen[0].lambda_max, self.ri_table).cr
+        return report_from_lambda(self.matrix.n, self.lambda_max, self.ri_table).cr
 
     @cached_property
     def record(self) -> ComparisonRecord:
         return compare_methods(self.matrix, self.ri_table)
 
-    def weights100(self, method: str) -> np.ndarray:
-        return {"right": self.right100, "left": self.left100,
-                "inverse-left": self.inverse_left100}[method]
+
+# Bounded: the embedded cases hold eight texts.  The entries are read-only.
+@lru_cache(maxsize=32)
+def _reconciled(text: str) -> np.ndarray:
+    """Entries of a published matrix, reconciled once per text.  Published
+    decimals round both triangles independently; the loader reconciles each
+    pair within the precision of its two printed entries."""
+    return reconcile_matrix_text(text).entries
+
+
+# Each evaluator takes the case context and its check's arguments and
+# returns the check's label, whether it passed, and a detail line.  Weights
+# and gaps are on the sum-100 scale; alternatives are numbered from 1.
+
+def _weights(ctx: _CaseContext, method: str, expected: tuple[float, ...], tolerance: float,
+             relative: bool = False):
+    got = ctx.weights100[method]
+    if relative:
+        residual = float(np.max(np.abs(got / np.asarray(expected) - 1.0)))
+    else:
+        residual = float(np.max(np.abs(got - np.asarray(expected))))
+    kind = "relative" if relative else "absolute"
+    return (f"{method} weights within {tolerance:g} {kind}", residual <= tolerance,
+            f"max residual {residual:.3e}")
+
+
+def _cr_approx(ctx: _CaseContext, expected: float, tolerance: float):
+    residual = abs(ctx.cr - expected)
+    return (f"CR = {expected} within {tolerance:g}", residual <= tolerance,
+            f"CR {ctx.cr:.5f}, residual {residual:.2e}")
+
+
+def _cr_above(ctx: _CaseContext, threshold: float):
+    return f"CR above {threshold}", ctx.cr > threshold, f"CR {ctx.cr:.5f}"
+
+
+def _pair_flip(ctx: _CaseContext, first: int, second: int):
+    """Right and inverse-left eigenvectors order two alternatives oppositely."""
+    i, j = first - 1, second - 1
+    r = ctx.right100[i] - ctx.right100[j]
+    l = ctx.inverse_left100[i] - ctx.inverse_left100[j]
+    return (f"alternatives {first} and {second} flip", r * l < 0,
+            f"right gap {r:+.4f}, inverse-left gap {l:+.4f}")
+
+
+def _top_flip(ctx: _CaseContext, right_top: int, inverse_left_top: int):
+    rt = int(np.argmax(ctx.right100)) + 1
+    lt = int(np.argmax(ctx.inverse_left100)) + 1
+    return (f"top alternative {right_top} (right) vs {inverse_left_top} (inverse-left)",
+            rt == right_top and lt == inverse_left_top, f"tops: right {rt}, inverse-left {lt}")
+
+
+def _opposite_order(ctx: _CaseContext, right_order: tuple[int, ...],
+                    inverse_left_order: tuple[int, ...]):
+    """The two eigenvectors rank the alternatives in exactly opposite orders."""
+    r_order = tuple(int(k) + 1 for k in np.argsort(-ctx.right100))
+    l_order = tuple(int(k) + 1 for k in np.argsort(-ctx.inverse_left100))
+    tau = ctx.record.value("kendall", "inverse_left")
+    ok = r_order == right_order and l_order == inverse_left_order and tau == -1.0
+    return ("fully reversed ranking (kendall = -1)", ok,
+            f"orders {r_order} vs {l_order}, kendall {tau:+.3f}")
+
+
+def _gap(ctx: _CaseContext, first: int, second: int, expected_right: float,
+         expected_inverse_left: float, tolerance: float):
+    """Absolute weight gap between two alternatives."""
+    i, j = first - 1, second - 1
+    gr = abs(ctx.right100[i] - ctx.right100[j])
+    gl = abs(ctx.inverse_left100[i] - ctx.inverse_left100[j])
+    ok = abs(gr - expected_right) <= tolerance and abs(gl - expected_inverse_left) <= tolerance
+    return (f"|w_{first} - w_{second}| = {expected_right} (right) / "
+            f"{expected_inverse_left} (inverse-left) within {tolerance:g}", ok,
+            f"gaps {gr:.4f} / {gl:.4f}")
+
+
+def _tiny_distance_reversal(ctx: _CaseContext, euclidean_below: float):
+    """Rank reversal occurs although the eigenvectors are almost identical."""
+    dist = euclidean(ctx.right100 / 100.0, ctx.inverse_left100 / 100.0)
+    ok = ctx.record.any_reversal and dist < euclidean_below
+    return (f"reversal with euclidean distance below {euclidean_below:g}", ok,
+            f"euclidean {dist:.2e}, any_reversal {ctx.record.any_reversal}")
+
+
+def _inverse_left_equals_right(ctx: _CaseContext, tolerance: float):
+    residual = float(np.max(np.abs(ctx.inverse_left100 / ctx.right100 - 1.0)))
+    return (f"inverse-left equals right within {tolerance:g} relative", residual <= tolerance,
+            f"max relative residual {residual:.3e}")
+
+
+def _aggregation(ctx: _CaseContext, partner_text: str, aip_greater: int, aip_smaller: int):
+    """Judgment aggregation of two opposed judges is the all-ones matrix with
+    uniform priorities, while priority aggregation keeps component
+    `aip_greater` above `aip_smaller`."""
+    partner = PCMatrix(_reconciled(partner_text))
+    merged = aggregate_matrices_geometric([ctx.matrix, partner])
+    ones_residual = float(np.max(np.abs(merged.entries - 1.0)))
+    merged_w = right_eigenvector(merged).weights.rescaled(Normalization.SUM_HUNDRED)
+    uniform_residual = float(np.max(np.abs(merged_w.priorities - 100.0 / ctx.matrix.n)))
+    aip = aggregate_priorities_geometric(
+        [right_eigenvector(m).weights for m in (ctx.matrix, partner)]).priorities
+    ordered = aip[aip_greater - 1] > aip[aip_smaller - 1]
+    ok = ones_residual <= 1e-12 and uniform_residual <= 1e-6 and ordered
+    return ("matrix aggregation uniform vs priority aggregation ordered", ok,
+            f"entries off one by {ones_residual:.1e}, "
+            f"weights off uniform by {uniform_residual:.1e}, "
+            f"priority aggregation keeps {aip_greater} > {aip_smaller}: {ordered}")
+
+
+# Keyed by each evaluator's name without its underscore.
+_EVALUATORS = {f.__name__[1:]: f for f in (
+    _weights, _cr_approx, _cr_above, _pair_flip, _top_flip, _opposite_order, _gap,
+    _tiny_distance_reversal, _inverse_left_equals_right, _aggregation)}
+
+
+class Check:
+    """One published quantity: the evaluator of `kind` in `_EVALUATORS`,
+    called with the case context and these arguments."""
+
+    __slots__ = ("kind", "args", "kwargs")
+
+    def __init__(self, kind: str, *args, **kwargs):
+        if kind not in _EVALUATORS:
+            raise ValueError(f"unknown check kind {kind!r}")
+        self.kind, self.args, self.kwargs = kind, args, kwargs
+
+    def evaluate(self, ctx: _CaseContext) -> tuple[str, bool, str]:
+        """(label, passed, detail)."""
+        return _EVALUATORS[self.kind](ctx, *self.args, **self.kwargs)
 
 
 @dataclass(frozen=True)
@@ -74,207 +190,18 @@ class CheckOutcome:
 
 
 @dataclass(frozen=True)
-class WeightsCheck:
-    """Weight vector matches its published values on the sum-100 scale."""
-
-    method: str
-    expected: tuple[float, ...]
-    tolerance: float
-    relative: bool = False
-
-    def label(self) -> str:
-        kind = "relative" if self.relative else "absolute"
-        return f"{self.method} weights within {self.tolerance:g} {kind}"
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        got = ctx.weights100(self.method)
-        expected = np.asarray(self.expected)
-        if self.relative:
-            residual = float(np.max(np.abs(got / expected - 1.0)))
-        else:
-            residual = float(np.max(np.abs(got - expected)))
-        return residual <= self.tolerance, f"max residual {residual:.3e}"
-
-
-@dataclass(frozen=True)
-class CrApproxCheck:
-    expected: float
-    tolerance: float
-
-    def label(self) -> str:
-        return f"CR = {self.expected} within {self.tolerance:g}"
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        residual = abs(ctx.cr - self.expected)
-        return residual <= self.tolerance, f"CR {ctx.cr:.5f}, residual {residual:.2e}"
-
-
-@dataclass(frozen=True)
-class CrAboveCheck:
-    threshold: float = 0.1
-
-    def label(self) -> str:
-        return f"CR above {self.threshold}"
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        return ctx.cr > self.threshold, f"CR {ctx.cr:.5f}"
-
-
-@dataclass(frozen=True)
-class PairFlipCheck:
-    """Right and inverse-left eigenvectors order two alternatives oppositely."""
-
-    first: int   # 1-based alternative indices
-    second: int
-
-    def label(self) -> str:
-        return f"alternatives {self.first} and {self.second} flip"
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        i, j = self.first - 1, self.second - 1
-        r = ctx.right100[i] - ctx.right100[j]
-        l = ctx.inverse_left100[i] - ctx.inverse_left100[j]
-        return r * l < 0, f"right gap {r:+.4f}, inverse-left gap {l:+.4f}"
-
-
-@dataclass(frozen=True)
-class TopFlipCheck:
-    right_top: int
-    inverse_left_top: int
-
-    def label(self) -> str:
-        return f"top alternative {self.right_top} (right) vs {self.inverse_left_top} (inverse-left)"
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        rt = int(np.argmax(ctx.right100)) + 1
-        lt = int(np.argmax(ctx.inverse_left100)) + 1
-        ok = rt == self.right_top and lt == self.inverse_left_top
-        return ok, f"tops: right {rt}, inverse-left {lt}"
-
-
-@dataclass(frozen=True)
-class OppositeOrderCheck:
-    """The two eigenvectors rank the alternatives in exactly opposite orders."""
-
-    right_order: tuple[int, ...]
-    inverse_left_order: tuple[int, ...]
-
-    def label(self) -> str:
-        return "fully reversed ranking (kendall = -1)"
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        r_order = tuple(int(k) + 1 for k in np.argsort(-ctx.right100))
-        l_order = tuple(int(k) + 1 for k in np.argsort(-ctx.inverse_left100))
-        tau = ctx.record.value("kendall", "inverse_left")
-        ok = (r_order == self.right_order and l_order == self.inverse_left_order
-              and tau == -1.0)
-        return ok, f"orders {r_order} vs {l_order}, kendall {tau:+.3f}"
-
-
-@dataclass(frozen=True)
-class GapCheck:
-    """Absolute weight gap between two alternatives, sum-100 scale."""
-
-    first: int
-    second: int
-    expected_right: float
-    expected_inverse_left: float
-    tolerance: float
-
-    def label(self) -> str:
-        return (f"|w_{self.first} - w_{self.second}| = {self.expected_right} (right) / "
-                f"{self.expected_inverse_left} (inverse-left) within {self.tolerance:g}")
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        i, j = self.first - 1, self.second - 1
-        gr = abs(ctx.right100[i] - ctx.right100[j])
-        gl = abs(ctx.inverse_left100[i] - ctx.inverse_left100[j])
-        ok = (abs(gr - self.expected_right) <= self.tolerance
-              and abs(gl - self.expected_inverse_left) <= self.tolerance)
-        return ok, f"gaps {gr:.4f} / {gl:.4f}"
-
-
-@dataclass(frozen=True)
-class TinyDistanceReversalCheck:
-    """Rank reversal occurs although the eigenvectors are almost identical."""
-
-    euclidean_below: float
-
-    def label(self) -> str:
-        return f"reversal with euclidean distance below {self.euclidean_below:g}"
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        dist = euclidean(ctx.right100 / 100.0, ctx.inverse_left100 / 100.0)
-        ok = ctx.record.any_reversal and dist < self.euclidean_below
-        return ok, f"euclidean {dist:.2e}, any_reversal {ctx.record.any_reversal}"
-
-
-@dataclass(frozen=True)
-class InverseLeftEqualsRightCheck:
-    tolerance: float = 1e-6
-
-    def label(self) -> str:
-        return f"inverse-left equals right within {self.tolerance:g} relative"
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        residual = float(np.max(np.abs(ctx.inverse_left100 / ctx.right100 - 1.0)))
-        return residual <= self.tolerance, f"max relative residual {residual:.3e}"
-
-
-@dataclass(frozen=True)
-class AggregationCheck:
-    """Judgment aggregation of two opposed judges is the all-ones matrix with
-    uniform priorities, while priority aggregation keeps a strict order."""
-
-    partner_text: str
-    aip_greater: int   # 1-based component that must exceed...
-    aip_smaller: int   # ... this one under priority aggregation
-
-    def label(self) -> str:
-        return "matrix aggregation uniform vs priority aggregation ordered"
-
-    @cached_property
-    def _partner_entries(self) -> np.ndarray:
-        return reconcile_matrix_text(self.partner_text).entries
-
-    def evaluate(self, ctx: _CaseContext) -> tuple[bool, str]:
-        partner = PCMatrix(self._partner_entries)
-        merged = aggregate_matrices_geometric([ctx.matrix, partner])
-        ones_residual = float(np.max(np.abs(merged.entries - 1.0)))
-        merged_w = right_eigenvector(merged).weights
-        uniform_residual = float(np.max(np.abs(
-            merged_w.rescaled(Normalization.SUM_HUNDRED).priorities - 100.0 / ctx.matrix.n
-        )))
-        aip = aggregate_priorities_geometric([
-            right_eigenvector(ctx.matrix).weights,
-            right_eigenvector(partner).weights,
-        ]).priorities
-        ordered = aip[self.aip_greater - 1] > aip[self.aip_smaller - 1]
-        ok = ones_residual <= 1e-12 and uniform_residual <= 1e-6 and ordered
-        return ok, (f"entries off one by {ones_residual:.1e}, "
-                    f"weights off uniform by {uniform_residual:.1e}, "
-                    f"priority aggregation keeps {self.aip_greater} > {self.aip_smaller}: {ordered}")
-
-
-@dataclass(frozen=True)
 class VerifyCase:
     name: str
     source: str
     matrix_text: str
-    checks: tuple
-
-    # Published decimals round both triangles independently; the loader
-    # reconciles each pair within the precision of its two printed entries.
-    @cached_property
-    def _entries(self) -> np.ndarray:
-        return reconcile_matrix_text(self.matrix_text).entries
+    checks: tuple[Check, ...]
 
     @property
     def matrix(self) -> PCMatrix:
         """A new instance on every access: the exact reconciliation runs
         once, but no eigen solve memoized on a matrix outlives the
         verification run that made it."""
-        return PCMatrix(self._entries)
+        return PCMatrix(_reconciled(self.matrix_text))
 
 
 _JUDGE_1 = """
@@ -354,8 +281,8 @@ CASES: tuple[VerifyCase, ...] = (
         source="group decision example, judge 1 of an exactly opposed pair",
         matrix_text=_JUDGE_1,
         checks=(
-            WeightsCheck("right", (32.42, 35.02, 28.21, 4.35), 0.005),
-            AggregationCheck(_JUDGE_2, aip_greater=2, aip_smaller=1),
+            Check("weights", "right", (32.42, 35.02, 28.21, 4.35), 0.005),
+            Check("aggregation", _JUDGE_2, aip_greater=2, aip_smaller=1),
         ),
     ),
     VerifyCase(
@@ -363,7 +290,7 @@ CASES: tuple[VerifyCase, ...] = (
         source="group decision example, judge 2 (transpose of judge 1)",
         matrix_text=_JUDGE_2,
         checks=(
-            WeightsCheck("right", (8.86, 9.05, 11.04, 71.05), 0.005),
+            Check("weights", "right", (8.86, 9.05, 11.04, 71.05), 0.005),
         ),
     ),
     VerifyCase(
@@ -371,11 +298,11 @@ CASES: tuple[VerifyCase, ...] = (
         source="Johnson, Beine & Wang (1979)",
         matrix_text=_FOUR_ALT,
         checks=(
-            WeightsCheck("right", (18.44, 15.19, 43.64, 22.73), 0.005),
-            WeightsCheck("left", (24.82, 38.78, 10.49, 25.91), 0.005),
-            WeightsCheck("inverse-left", (20.14, 12.89, 47.67, 19.29), 0.005),
-            CrApproxCheck(0.331, 0.01),
-            PairFlipCheck(1, 4),
+            Check("weights", "right", (18.44, 15.19, 43.64, 22.73), 0.005),
+            Check("weights", "left", (24.82, 38.78, 10.49, 25.91), 0.005),
+            Check("weights", "inverse-left", (20.14, 12.89, 47.67, 19.29), 0.005),
+            Check("cr_approx", 0.331, 0.01),
+            Check("pair_flip", 1, 4),
         ),
     ),
     VerifyCase(
@@ -383,11 +310,11 @@ CASES: tuple[VerifyCase, ...] = (
         source="DeTurck (1987)",
         matrix_text=_RECIPROCAL_PAIR,
         checks=(
-            WeightsCheck("right", (100 * 2 / 9, 100 * 5 / 18, 100 * 4 / 9, 100 / 18),
-                         1e-6, relative=True),
-            WeightsCheck("left", _RP_LEFT, 1e-6, relative=True),
-            InverseLeftEqualsRightCheck(1e-6),
-            CrAboveCheck(0.1),
+            Check("weights", "right", (100 * 2 / 9, 100 * 5 / 18, 100 * 4 / 9, 100 / 18),
+                  1e-6, relative=True),
+            Check("weights", "left", _RP_LEFT, 1e-6, relative=True),
+            Check("inverse_left_equals_right", 1e-6),
+            Check("cr_above", 0.1),
         ),
     ),
     VerifyCase(
@@ -395,10 +322,10 @@ CASES: tuple[VerifyCase, ...] = (
         source="Dodd, Donegan & McMaster (1995)",
         matrix_text=_FIVE_ALT,
         checks=(
-            WeightsCheck("right", (36.5652, 38.9564, 16.7155, 3.4693, 4.2936), 0.0005),
-            WeightsCheck("inverse-left", (40.6431, 36.4208, 15.0669, 3.4391, 4.4302), 0.0005),
-            CrApproxCheck(0.082, 0.005),
-            TopFlipCheck(right_top=2, inverse_left_top=1),
+            Check("weights", "right", (36.5652, 38.9564, 16.7155, 3.4693, 4.2936), 0.0005),
+            Check("weights", "inverse-left", (40.6431, 36.4208, 15.0669, 3.4391, 4.4302), 0.0005),
+            Check("cr_approx", 0.082, 0.005),
+            Check("top_flip", right_top=2, inverse_left_top=1),
         ),
     ),
     VerifyCase(
@@ -406,11 +333,11 @@ CASES: tuple[VerifyCase, ...] = (
         source="randomly found example: reversal at near-zero inconsistency",
         matrix_text=_NEAR_CONSISTENT,
         checks=(
-            WeightsCheck("right", (15.042, 30.274, 15.037, 39.647), 0.005),
-            WeightsCheck("inverse-left", (15.036, 30.281, 15.049, 39.635), 0.005),
-            CrApproxCheck(0.0007, 0.0005),
-            PairFlipCheck(1, 3),
-            TinyDistanceReversalCheck(euclidean_below=0.001),
+            Check("weights", "right", (15.042, 30.274, 15.037, 39.647), 0.005),
+            Check("weights", "inverse-left", (15.036, 30.281, 15.049, 39.635), 0.005),
+            Check("cr_approx", 0.0007, 0.0005),
+            Check("pair_flip", 1, 3),
+            Check("tiny_distance_reversal", euclidean_below=0.001),
         ),
     ),
     VerifyCase(
@@ -418,10 +345,10 @@ CASES: tuple[VerifyCase, ...] = (
         source="randomly found example: exactly opposite rankings",
         matrix_text=_FULL_REVERSAL,
         checks=(
-            WeightsCheck("right", (19.75, 19.16, 20.85, 19.53, 20.71), 0.005),
-            WeightsCheck("inverse-left", (20.25, 20.55, 19.31, 20.27, 19.62), 0.005),
-            CrApproxCheck(0.078, 0.005),
-            OppositeOrderCheck((3, 5, 1, 4, 2), (2, 4, 1, 5, 3)),
+            Check("weights", "right", (19.75, 19.16, 20.85, 19.53, 20.71), 0.005),
+            Check("weights", "inverse-left", (20.25, 20.55, 19.31, 20.27, 19.62), 0.005),
+            Check("cr_approx", 0.078, 0.005),
+            Check("opposite_order", (3, 5, 1, 4, 2), (2, 4, 1, 5, 3)),
         ),
     ),
     VerifyCase(
@@ -429,11 +356,11 @@ CASES: tuple[VerifyCase, ...] = (
         source="randomly found example: top reversal between distant priorities",
         matrix_text=_DISTANT_REVERSAL,
         checks=(
-            WeightsCheck("right", (15.26, 33.23, 7.74, 5.68, 38.08), 0.005),
-            WeightsCheck("inverse-left", (15.29, 37.84, 8.55, 4.93, 33.39), 0.005),
-            CrApproxCheck(0.0993, 0.003),
-            TopFlipCheck(right_top=5, inverse_left_top=2),
-            GapCheck(2, 5, expected_right=4.85, expected_inverse_left=4.44, tolerance=0.05),
+            Check("weights", "right", (15.26, 33.23, 7.74, 5.68, 38.08), 0.005),
+            Check("weights", "inverse-left", (15.29, 37.84, 8.55, 4.93, 33.39), 0.005),
+            Check("cr_approx", 0.0993, 0.003),
+            Check("top_flip", right_top=5, inverse_left_top=2),
+            Check("gap", 2, 5, expected_right=4.85, expected_inverse_left=4.44, tolerance=0.05),
         ),
     ),
 )
@@ -462,6 +389,5 @@ def run_verification(ri_table: RiTable | None = None,
     for case in cases:
         ctx = _CaseContext(case.matrix, table)
         for check in case.checks:
-            passed, detail = check.evaluate(ctx)
-            outcomes.append(CheckOutcome(case.name, check.label(), passed, detail))
+            outcomes.append(CheckOutcome(case.name, *check.evaluate(ctx)))
     return VerificationReport(tuple(outcomes), time.perf_counter() - started)

@@ -37,7 +37,7 @@ _TOL = 1e-12
 _MAX_ITERATIONS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Converged eigenpair: unit-sum weights, dominant eigenvalue, and the
     certified residual max_i |(A w)_i - lambda w_i| / w_i."""

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcmkit import METRICS, bin_columns, cli, format_matrix_text
+from pcmkit import METRICS, bin_columns, format_matrix_text
 from pcmkit.cli import WORKERS_ENV, _parse_simulation_config, main
 
 from conftest import reference_bins
@@ -342,7 +342,7 @@ class TestSimulateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("run_simulation called before --out was checked")
 
-        monkeypatch.setattr(cli, "run_simulation", refuse)
+        monkeypatch.setattr("pcmkit.montecarlo.run_simulation", refuse)
         config = tmp_path / "sim.cfg"
         config.write_text(TINY_CONFIG)
         taken = tmp_path / "taken"
@@ -405,7 +405,7 @@ class TestSimulateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("run_simulation called on a config with a repeated key")
 
-        monkeypatch.setattr(cli, "run_simulation", refuse)
+        monkeypatch.setattr("pcmkit.montecarlo.run_simulation", refuse)
         config = tmp_path / "sim.cfg"
         config.write_text("dims=4\nseed=1\ndeltas=1\ncounts=100\n seed = 2\n")
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
@@ -417,7 +417,7 @@ class TestSimulateCommand:
         def exhaust(*args, **kwargs):
             raise MemoryError("Unable to allocate 6.4 GiB")
 
-        monkeypatch.setattr(cli, "run_simulation", exhaust)
+        monkeypatch.setattr("pcmkit.montecarlo.run_simulation", exhaust)
         config = tmp_path / "sim.cfg"
         config.write_text(TINY_CONFIG)
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2

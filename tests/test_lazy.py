@@ -1,0 +1,166 @@
+"""The import surface: `import pcmkit` loads only what a caller uses, every
+public name still resolves, and the imports moved into functions change no
+result."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pcmkit
+from pcmkit import (
+    build_ri_table,
+    estimate_random_index,
+    load_matrix,
+    right_eigenvector,
+    row_geometric_mean,
+)
+
+SRC = Path(pcmkit.__file__).resolve().parents[1]
+
+# Loaded on first use only.
+DEFERRED = ("pcmkit.montecarlo", "pcmkit.verify", "concurrent.futures.process", "fractions")
+
+# Every name `pcmkit` exported before its simulation and verification names
+# became lazy.
+EXPORTS = (
+    "ConsistencyReport", "RiProvenance", "RiTable", "build_ri_table", "consistency_index",
+    "consistency_ratio", "default_ri_table", "estimate_random_index",
+    "Normalization", "PCMatrix", "ReciprocityMode", "ReciprocityPolicy", "WeightVector",
+    "consistent_from_weights", "format_matrix_text", "is_consistent", "load_matrix",
+    "normalize", "parse_matrix_text", "permute", "reconcile_matrix_text", "transpose",
+    "validate",
+    "DimensionMismatchError", "EmptyListError", "MissingRiError", "NoConvergenceError",
+    "NonPositiveEntryError", "NonPositiveWeightError", "NonSquareError", "PcmError",
+    "ReciprocityViolationError",
+    "METRICS", "ComparisonRecord", "chebyshev", "compare_methods", "euclidean",
+    "kendall_tau", "max_ratio",
+    "BinColumns", "CrHistogram", "GeneratorConfig", "SimulationConfig", "SimulationResult",
+    "bin_columns", "generate_perturbed", "run_simulation",
+    "CASES", "VerifyCase", "run_verification",
+    "EigenResult", "aggregate_matrices_geometric", "aggregate_priorities_geometric",
+    "combined_eigenvector", "eigen_system", "inverse_left_eigenvector", "left_eigenvector",
+    "right_eigenvector", "row_geometric_mean",
+    "__version__",
+)
+
+MATRIX = """4
+1    3    1.5  0.5
+1/3  1    2    2
+2/3  0.5  1    1
+2    0.5  1    1
+"""
+
+
+def fresh(code: str) -> dict:
+    """Run `code` in a new interpreter and return the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture()
+def matrix_file(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(MATRIX)
+    return str(path)
+
+
+class TestColdImport:
+    def test_import_loads_no_deferred_module(self):
+        loaded = fresh("import json, sys, pcmkit; pcmkit.default_ri_table(); "
+                       f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
+        assert loaded == []
+
+    def test_weights_command_loads_neither_simulation_nor_verification(self, matrix_file):
+        loaded = fresh("import contextlib, io, json, sys\n"
+                       "from pcmkit import cli\n"
+                       "with contextlib.redirect_stdout(io.StringIO()):\n"
+                       f"    code = cli.main(['weights', {matrix_file!r}])\n"
+                       "print(json.dumps([code] + [m for m in ('pcmkit.montecarlo', "
+                       "'pcmkit.verify') if m in sys.modules]))")
+        assert loaded == [0]
+
+    def test_every_export_resolves_in_a_fresh_interpreter(self):
+        got = fresh("import json, pcmkit\n"
+                    f"names = {EXPORTS!r}\n"
+                    "bad = [n for n in names if n not in dir(pcmkit)]\n"
+                    "for n in names:\n"
+                    "    ns = {}\n"
+                    "    exec(f'from pcmkit import {n} as x', ns)\n"
+                    "    if ns['x'] is not getattr(pcmkit, n):\n"
+                    "        bad.append(n)\n"
+                    "from pcmkit import montecarlo, verify\n"
+                    "bad += [n for n in ('run_simulation', 'bin_columns') "
+                    "if getattr(montecarlo, n) is not getattr(pcmkit, n)]\n"
+                    "bad += [n for n in ('CASES', 'run_verification') "
+                    "if getattr(verify, n) is not getattr(pcmkit, n)]\n"
+                    "print(json.dumps(bad))")
+        assert got == []
+
+    def test_every_export_resolves_here(self):
+        assert set(EXPORTS) <= set(dir(pcmkit))
+        for name in EXPORTS:
+            namespace: dict = {}
+            exec(f"from pcmkit import {name} as value", namespace)
+            assert namespace["value"] is getattr(pcmkit, name)
+
+    @pytest.mark.parametrize("name", ["no_such_name", "cli_main", "WeightsCheck"])
+    def test_unknown_attribute_raises(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(pcmkit, name)
+        with pytest.raises(ImportError):
+            exec(f"from pcmkit import {name}", {})
+
+
+class TestDeferredImportsChangeNothing:
+    # A 2-worker simulate through the CLI, which imports the pool when it
+    # starts one, is compared with 1 and 8 workers by acceptance criterion 09.
+
+    def test_ri_table_runs_one_pool_and_keeps_every_value(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        # 45,000 samples are three chunks per order.
+        table = build_ri_table([5, 3, 4], 45_000, 17, workers=2)
+        assert len(pools) == 1
+        assert table.orders == (3, 4, 5)
+        for n in table.orders:
+            assert table.ri(n) == estimate_random_index(n, 45_000, 17 + n)
+            assert table.provenance_of(n).seed == 17 + n
+
+    @pytest.mark.parametrize("orders, samples, message", [
+        ([3, 2], 2000, "random index needs n >= 3, got 2"),
+        ([4], 999, "need at least 1000 samples for a random index, got 999"),
+    ])
+    def test_ri_table_keeps_argument_messages(self, orders, samples, message):
+        with pytest.raises(ValueError, match=message):
+            build_ri_table(orders, samples, 1, workers=2)
+
+
+class TestIdentityEquality:
+    def test_matrices_vectors_and_eigen_results_compare_without_raising(self, matrix_file):
+        a, b = load_matrix(matrix_file), load_matrix(matrix_file)
+        assert a.entries.tobytes() == b.entries.tobytes()
+        pairs = [(a, b), (row_geometric_mean(a), row_geometric_mean(b)),
+                 (right_eigenvector(a), right_eigenvector(b))]
+        for x, y in pairs:
+            assert x == x and not x != x
+            assert (x == y) is False and x != y
+            assert len({x, y, x}) == 2  # hashable
+        # The memo hands back the same result, which is equal to itself.
+        assert right_eigenvector(a) == right_eigenvector(a)
+        assert np.array_equal(right_eigenvector(a).weights.priorities,
+                              right_eigenvector(b).weights.priorities)
