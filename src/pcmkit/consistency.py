@@ -20,7 +20,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from ._power import power_iterate
+from ._power import _pieces, power_iterate
 from .core import PCMatrix, reciprocal_from_upper
 from .errors import MissingRiError, NoConvergenceError
 from .weighting import right_eigenvector
@@ -64,7 +64,8 @@ class RiTable:
     """Random-index values per matrix order, with provenance.
 
     Serializes to a small text file with one line per order:
-    `n ri samples seed` (comment lines start with '#').
+    `n ri samples seed` (comment lines start with '#').  A supplied value is
+    written with samples and seed 0: no estimate has 0 samples.
     """
 
     values: Mapping[int, float]
@@ -95,8 +96,7 @@ class RiTable:
 
     @classmethod
     def supplied(cls, values: Mapping[int, float]) -> "RiTable":
-        prov = {n: RiProvenance("supplied") for n in values}
-        return cls(dict(values), prov)
+        return cls(dict(values), dict.fromkeys(values, RiProvenance("supplied")))
 
     @classmethod
     def from_file(cls, path) -> "RiTable":
@@ -118,7 +118,10 @@ class RiTable:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if first.setdefault(n, lineno) != lineno:
                     raise ValueError(f"{path}:{lineno}: order {n} repeats line {first[n]}")
-                values[n], prov[n] = ri, RiProvenance("estimated", samples, seed)
+                if samples < 0 or seed < 0:
+                    raise ValueError(f"{path}:{lineno}: samples and seed must be non-negative")
+                values[n], prov[n] = ri, (RiProvenance("estimated", samples, seed) if samples
+                                          else RiProvenance("supplied"))
         if not values:
             raise ValueError(f"{path}: no random-index entries found")
         try:
@@ -131,9 +134,7 @@ class RiTable:
             fh.write("# random index table: n ri samples seed\n")
             for n in self.orders:
                 p = self.provenance[n]
-                samples = p.samples if p.samples is not None else 0
-                seed = p.seed if p.seed is not None else 0
-                fh.write(f"{n} {self.values[n]:.12g} {samples} {seed}\n")
+                fh.write(f"{n} {self.values[n]:.12g} {p.samples or 0} {p.seed or 0}\n")
 
 
 _default_table: RiTable | None = None
@@ -194,33 +195,34 @@ def consistency_ratio(matrix: PCMatrix, ri_table: RiTable | None = None) -> Cons
     return report_from_lambda(matrix.n, lam, table)
 
 
-def _random_reciprocal_batch(n: int, count: int, rng: np.random.Generator,
-                             scale: str) -> np.ndarray:
-    iu, ju = np.triu_indices(n, 1)
+def _ri_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -> float:
+    """CI sum of one chunk of random matrices.  Their upper triangles are
+    drawn whole, as (count, pairs) rows; the matrices are built and solved
+    in the pieces of `_pieces`, and the CI is summed once over the chunk."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+    size = (count, n * (n - 1) // 2)
     if scale == "saaty":
-        upper = SAATY_SCALE[rng.integers(0, len(SAATY_SCALE), size=(count, len(iu)))]
+        upper = SAATY_SCALE[rng.integers(0, len(SAATY_SCALE), size=size)].T
     elif scale == "log-uniform":
-        upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(count, len(iu))))
+        upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=size)).T
     else:
         raise ValueError(f"unknown scale {scale!r}; expected 'saaty' or 'log-uniform'")
-    return reciprocal_from_upper(upper.T, n)
+    lam = np.empty(count)
+    for piece in _pieces(n, count):
+        _, lam[piece], iters, resid, conv = power_iterate(
+            reciprocal_from_upper(upper[:, piece], n), _RI_SOLVER_TOL, _RI_SOLVER_MAX_ITER)
+        if not conv.all():
+            k = int(np.argmax(~conv))
+            raise NoConvergenceError(int(iters[k]), float(resid[k]),
+                                     f"random index sampling, n={n}, chunk={chunk_index}")
+    return float(((lam - n) / (n - 1)).sum())
 
 
-def _ri_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-    mats = _random_reciprocal_batch(n, count, rng, scale)
-    _, lam, iters, resid, conv = power_iterate(mats, _RI_SOLVER_TOL, _RI_SOLVER_MAX_ITER)
-    if not conv.all():
-        k = int(np.argmax(~conv))
-        raise NoConvergenceError(int(iters[k]), float(resid[k]),
-                                 f"random index sampling, n={n}, chunk={chunk_index}")
-    ci = (lam - n) / (n - 1)
-    return float(ci.sum())
-
-
-def _check_workers(workers: int) -> None:
+def _check_run(workers: int, seed: int = 0) -> None:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def _chunk_sizes(total: int, size: int) -> list[int]:
@@ -232,7 +234,7 @@ def _ordered_map(task, args: list[tuple], workers: int) -> Iterator:
     """Yields task(*a) for a in args, in that order, each as soon as it and
     the ones before it are done, on a pool of `workers` processes when there
     is more than one.  The worker count is checked here, before any task runs."""
-    _check_workers(workers)
+    _check_run(workers)
     if workers == 1:
         return (task(*a) for a in args)
     return _pool_map(task, args, workers)
@@ -270,6 +272,7 @@ def estimate_random_index(n: int, samples: int, seed: int, *,
     chunk k is seeded by (seed, k), and the chunk sums are combined in
     chunk order.
     """
+    _check_run(workers, seed)
     args = _ri_chunks(n, samples, seed, scale)
     return float(sum(_ordered_map(_ri_chunk_sum, args, workers)) / samples)
 
@@ -281,7 +284,7 @@ def build_ri_table(orders, samples: int, base_seed: int, *,
     Every order's chunks go through one stream, so one pool serves the
     whole table, and each order's value is the one `estimate_random_index`
     gives: its chunk sums added in chunk order."""
-    _check_workers(workers)
+    _check_run(workers, base_seed)
     orders = sorted(set(int(x) for x in orders))
     args = [a for n in orders for a in _ri_chunks(n, samples, base_seed + n, scale)]
     sums: dict[int, list[float]] = {n: [] for n in orders}

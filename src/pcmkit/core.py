@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,13 +191,21 @@ def _check_positive(a: np.ndarray) -> None:
         raise NonPositiveEntryError(int(i), int(j), float(a[i, j]))
 
 
+@lru_cache(maxsize=32)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, made once per order and returned read-only."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def reciprocal_from_upper(upper, n: int) -> np.ndarray:
     """(n, n, ...) matrices from their upper-triangle entries, given in
     row-major order along the first axis: each lower entry is the reciprocal
     of its mirror and the diagonal is one.  A stack is batch-last, the
     layout of `power_iterate`."""
     upper = np.asarray(upper, dtype=float)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper_indices(n)
     mats = np.ones((n, n) + upper.shape[1:])
     mats[iu, ju] = upper
     mats[ju, iu] = 1.0 / upper
@@ -222,7 +231,7 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
         raise NonSquareError(f"validation requires order >= 3, got n = {n}")
 
     if policy.mode is ReciprocityMode.REPAIR_FROM_UPPER:
-        iu, ju = np.triu_indices(n, 1)
+        iu, ju = _upper_indices(n)
         upper = a[iu, ju]
         bad = ~(np.isfinite(upper) & (upper > 0.0))
         if bad.any():
@@ -371,16 +380,15 @@ def reconcile_matrix_text(text: str) -> PCMatrix:
     printed = [[_printed_interval(t, lineno) for t in tokens]
                for lineno, tokens in _token_rows(text)]
     n = a.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            (p, hp), (q, hq) = printed[i][j], printed[j][i]
-            low = max(p - hp, 1 / (q + hq))
-            high = min(p + hp, 1 / (q - hq))
-            if low > high:
-                raise ReciprocityViolationError(i, j, float(a[i, j] * a[j, i] - 1.0))
-            mid = (low + high) / 2
-            a[i, j] = float(mid)
-            a[j, i] = float(1 / mid)
+    for i, j in zip(*(k.tolist() for k in _upper_indices(n))):
+        (p, hp), (q, hq) = printed[i][j], printed[j][i]
+        low = max(p - hp, 1 / (q + hq))
+        high = min(p + hp, 1 / (q - hq))
+        if low > high:
+            raise ReciprocityViolationError(i, j, float(a[i, j] * a[j, i] - 1.0))
+        mid = (low + high) / 2
+        a[i, j] = float(mid)
+        a[j, i] = float(1 / mid)
     return validate(a)
 
 

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .consistency import RiTable, _ci_cr, default_ri_table
-from .core import PCMatrix, WeightVector, _require_positive
+from .core import PCMatrix, WeightVector, _require_positive, _upper_indices
 from .errors import DimensionMismatchError
 from .weighting import _checked, eigen_system
 
@@ -125,7 +125,7 @@ def metric_blocks(right: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray
     """
     batch, n = right.shape
     out = np.empty((len(METRICS), len(others), batch))
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper_indices(n)
     pairs = n * (n - 1) / 2
     right_t = np.ascontiguousarray(right.T)
     sign_r = np.sign(right_t[iu] - right_t[ju])

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._power import power_iterate
 from .consistency import RiTable, _chunk_sizes, _ci_cr, _ordered_map, default_ri_table
-from .core import PCMatrix
+from .core import PCMatrix, _upper_indices
 from .errors import NoConvergenceError
 from .metrics import METRICS, comparison_flags, metric_blocks
 from .weighting import _MAX_ITERATIONS, _TOL, _vector_rows
@@ -219,7 +219,7 @@ def perturbed_batch(config: GeneratorConfig, rng: np.random.Generator,
     # `weights` is a transposed view; order="C" still lays the stack out
     # batch-last in memory, as power_iterate needs it.
     mats = np.divide(weights[:, None, :], weights[None, :, :], order="C")
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper_indices(n)
     eps = rng.uniform(-config.delta, config.delta, size=(count, len(iu))).T
 
     upper = mats[iu, ju]

@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._power import power_iterate
-from .core import Normalization, PCMatrix, WeightVector, normalize, reciprocal_from_upper
+from .core import (Normalization, PCMatrix, WeightVector, _upper_indices, normalize,
+                   reciprocal_from_upper)
 from .errors import DimensionMismatchError, EmptyListError, NoConvergenceError
 
 
@@ -187,7 +188,7 @@ def aggregate_matrices_geometric(matrices) -> PCMatrix:
         if m.n != n:
             raise DimensionMismatchError(f"matrix orders differ: {m.n} != {n}")
     mean_log = np.mean([np.log(m.entries) for m in mats], axis=0)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper_indices(n)
     return PCMatrix(reciprocal_from_upper(np.exp(mean_log[iu, ju]), n))
 
 

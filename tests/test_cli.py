@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -628,6 +631,38 @@ class TestRiEstimateCommand:
         monkeypatch.setenv(WORKERS_ENV, "abc")
         assert main(["ri-estimate", "--orders", "3", "--samples", "1000"]) == 2
         assert WORKERS_ENV in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "-10"])
+    def test_negative_seed_exits_2(self, capsys, seed):
+        assert main(["ri-estimate", "--orders", "3-4", "--samples", "1000",
+                     "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pcmkit: error: seed must be non-negative, got {seed}\n"
+
+    def test_peak_memory_is_bounded_at_a_large_order(self):
+        """Order 60 draws 1000 upper triangles (1770 entries each, as int64
+        indices and as floats: one 28.8 MB stack's worth) and solves them in
+        pieces of 128 matrices.  Unsplit, the chunk's stack, its reciprocal
+        and the compacted copies added about 50 MB above an order-3 run; in
+        pieces the growth must stay under 1.5 stacks (43 MB)."""
+        stack_mb = 60 * 60 * 1000 * 8 / 2**20
+        base, large = (_peak_rss_mb(["ri-estimate", "--orders", n, "--samples", "1000",
+                                     "--workers", "1"]) for n in ("3", "60"))
+        assert large - base < 1.5 * stack_mb, (base, large)
+
+
+def _peak_rss_mb(argv: list[str]) -> float:
+    """Peak RSS of `pcmkit argv`, read by a fresh parent process through
+    getrusage(RUSAGE_CHILDREN)."""
+    code = ("import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'pcmkit.cli', *sys.argv[1:]], check=True,\n"
+            "               stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_readme_library_quick_start_runs_as_printed():

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,16 @@ class TestRandomIndexEstimation:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             build_ri_table([], 1000, 1, workers=workers)
 
+    def test_negative_seed_rejected(self):
+        # Order n of a table uses base seed + n, so a negative base seed would
+        # silently reuse the stream another order gets from a valid one.
+        with pytest.raises(ValueError) as info:
+            estimate_random_index(3, 1000, -1)
+        assert str(info.value) == "seed must be non-negative, got -1"
+        with pytest.raises(ValueError) as info:
+            build_ri_table([3, 4], 1000, -1)
+        assert str(info.value) == "seed must be non-negative, got -1"
+
 
 class TestConsistencyRatio:
     def test_published_four_alternative(self, four_alt):
@@ -163,6 +175,30 @@ class TestRiTableIO:
         path.write_text("# nothing here\n")
         with pytest.raises(ValueError):
             RiTable.from_file(path)
+
+    def test_supplied_entries_stay_supplied(self, tmp_path):
+        path = tmp_path / "ri.txt"
+        RiTable.supplied({3: 0.52, 4: 0.89}).to_file(path)
+        again = RiTable.from_file(path)
+        assert dict(again.values) == {3: 0.52, 4: 0.89}
+        assert [again.provenance_of(n).describe() for n in (3, 4)] == ["supplied"] * 2
+
+    def test_shipped_table_loads_unchanged(self, tmp_path):
+        path = tmp_path / "ri.txt"
+        default_ri_table().to_file(path)
+        shipped = resources.files("pcmkit").joinpath("data/ri_table.txt").read_text()
+        assert path.read_text() == shipped
+        again = RiTable.from_file(path)
+        assert {n: again.provenance_of(n) for n in again.orders} == dict(
+            default_ri_table().provenance)
+
+    @pytest.mark.parametrize("line", ["4 0.9 -1 5", "4 0.9 1000 -5"])
+    def test_rejects_negative_samples_or_seed(self, tmp_path, line):
+        path = tmp_path / "ri.txt"
+        path.write_text(f"# n ri samples seed\n3 0.5 1000 3\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            RiTable.from_file(path)
+        assert str(info.value) == f"{path}:3: samples and seed must be non-negative"
 
     @pytest.mark.parametrize("ri", [-0.9, 0.0, float("nan"), float("inf")])
     def test_rejects_values_not_finite_and_positive(self, ri):

@@ -265,3 +265,14 @@ class TestReconcileMatrixText:
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError):
             reconcile_matrix_text("3\n1 x 2\n1 1 4\n1/2 1/4 1\n")
+
+
+def test_upper_indices_are_cached_read_only_triu_indices():
+    from pcmkit.core import _upper_indices
+
+    for n in (3, 7, 15):
+        iu, ju = _upper_indices(n)
+        want = np.triu_indices(n, 1)
+        assert np.array_equal(iu, want[0]) and np.array_equal(ju, want[1])
+        assert not iu.flags.writeable and not ju.flags.writeable
+        assert _upper_indices(n)[0] is iu

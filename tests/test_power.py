@@ -3,9 +3,12 @@ import pytest
 
 from pcmkit import (GeneratorConfig, PCMatrix, combined_eigenvector, eigen_system,
                     inverse_left_eigenvector, row_geometric_mean)
+from pcmkit import _power
 from pcmkit._power import _CHECK_EVERY, power_iterate
-from pcmkit.consistency import _random_reciprocal_batch
-from pcmkit.montecarlo import batch_vectors, perturbed_batch
+from pcmkit.consistency import SAATY_SCALE, _ri_chunk_sum
+from pcmkit.core import reciprocal_from_upper
+from pcmkit.montecarlo import (SimTask, SimulationConfig, batch_vectors, perturbed_batch,
+                               run_task)
 from pcmkit.weighting import _MAX_ITERATIONS as MAX_ITER, _TOL as TOL
 
 
@@ -15,7 +18,8 @@ def _pool(n: int = 5, count: int = 300) -> np.ndarray:
     Returned as a C-contiguous (n, n, count) stack."""
     rng = np.random.default_rng(2022)
     near = perturbed_batch(GeneratorConfig(n, 1.0), rng, count // 2)
-    saaty = _random_reciprocal_batch(n, count - count // 2, rng, "saaty")
+    draws = rng.integers(0, len(SAATY_SCALE), size=(count - count // 2, n * (n - 1) // 2))
+    saaty = reciprocal_from_upper(SAATY_SCALE[draws].T, n)
     mats = np.concatenate([near, saaty], axis=2)
     return np.ascontiguousarray(mats[:, :, rng.permutation(count)])
 
@@ -187,3 +191,63 @@ def test_matrix_whose_two_solves_stop_apart_matches_the_batch(n):
         assert inverse_left_eigenvector(m).priorities.tobytes() == inv[k].tobytes()
         assert combined_eigenvector(m).priorities.tobytes() == combined[k].tobytes()
         assert row_geometric_mean(m).priorities.tobytes() == rgm[k].tobytes()
+
+
+# (matrices, budget in entries at order n, piece widths): pieces of 150 that
+# leave a last piece of width 1, pieces of 150 that end exactly at the last
+# matrix, and the floor of 128 under a budget of one entry.
+_SPLITS = [
+    (301, lambda n: 150 * n * n, [150, 150, 1]),
+    (300, lambda n: 150 * n * n, [150, 150]),
+    (301, lambda n: 1, [128, 128, 45]),
+]
+_UNSPLIT = 1 << 62
+
+
+@pytest.mark.parametrize("count,budget,widths", _SPLITS, ids=["width-1", "exact", "floor"])
+@pytest.mark.parametrize("n", [5, 15])
+class TestElementBudget:
+    """Solving a stack in pieces gives the bits of the unsplit solve, for
+    the power iteration itself, the simulation's vector rows and bin table,
+    and the RI chunk sum."""
+
+    def _split(self, monkeypatch, n, budget, widths, count):
+        monkeypatch.setattr(_power, "_STACK_ELEMENTS", budget(n))
+        assert [s.stop - s.start for s in _power._pieces(n, count)] == widths
+
+    def test_power_iterate(self, monkeypatch, n, count, budget, widths):
+        pool = _pool(n=n, count=count)
+        monkeypatch.setattr(_power, "_STACK_ELEMENTS", _UNSPLIT)
+        whole = [power_iterate(pool, TOL, MAX_ITER, t) for t in (False, True)]
+        self._split(monkeypatch, n, budget, widths, count)
+        for t in (False, True):
+            _assert_same_bits(power_iterate(pool, TOL, MAX_ITER, t), whole[t])
+
+    def test_vector_rows_and_bin_table(self, monkeypatch, n, count, budget, widths):
+        pool = _pool(n=n, count=count)
+        config = SimulationConfig(dims=(n,), deltas=(2.0,), matrices_per_cell=count,
+                                  bin_width=0.02)
+        task = SimTask(0, n, 2.0, 0, count)
+
+        def solve():
+            return batch_vectors(pool), run_task(config, task, 1.0).table
+
+        monkeypatch.setattr(_power, "_STACK_ELEMENTS", _UNSPLIT)
+        (rows, table) = solve()
+        self._split(monkeypatch, n, budget, widths, count)
+        (rows_split, table_split) = solve()
+        _assert_same_bits(rows_split, rows)
+        assert table_split.tobytes() == table.tobytes()
+
+    def test_ri_chunk_sum(self, monkeypatch, n, count, budget, widths):
+        monkeypatch.setattr(_power, "_STACK_ELEMENTS", _UNSPLIT)
+        whole = _ri_chunk_sum(n, count, 17, 3, "saaty")
+        self._split(monkeypatch, n, budget, widths, count)
+        assert _ri_chunk_sum(n, count, 17, 3, "saaty") == whole
+
+
+def test_a_stack_within_the_budget_is_one_piece():
+    assert _power._pieces(9, _power._STACK_ELEMENTS // 81) == [slice(0, 1618)]
+    assert _power._pieces(9, 1619) == [slice(0, 1618), slice(1618, 1619)]
+    assert _power._pieces(200, 300) == [slice(0, 128), slice(128, 256), slice(256, 300)]
+    assert _power._pieces(4, 0) == []

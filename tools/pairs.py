@@ -3,17 +3,19 @@
 Exports a commit (the parent of a change, by default HEAD) with
 `git archive` into a temporary directory, then for every seed runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace X
 
 once in that export ("before") and once in the working tree ("after"),
 alternating which side runs first: the first seed runs the export first,
-the second the working tree first, and so on.  The end-to-end metrics of
-every pair are written as one set of a BENCH_*.json file:
+the second the working tree first, and so on.  The metrics of every pair
+are written as one set of a BENCH_*.json file: the end-to-end metrics with
+`--trace 0` (the default), the per-layer ones with `--trace 1`.
 
     python3 tools/pairs.py --workload single-matrix --seeds 101-110 \\
         --out BENCH_cold_start.json --note "what the change is"
 
 `--append` adds the set to an existing file instead of starting a new one.
+Each set records the `--trace` it ran with.
 Medians and interquartile ranges use `statistics.quantiles` (exclusive
 method).  Run from the repository root, with nothing else busy: the two
 sides of a pair share the machine with whatever else runs.
@@ -57,11 +59,11 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in `tree`: its one-line JSON summary."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
         # perfbench puts its own tree's src first; an inherited path must not.
         env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
@@ -80,6 +82,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. '101-110' or '1,3,5'")
     parser.add_argument("--seconds", type=float, default=36)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: per-layer metrics instead of end-to-end ones")
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     parser.add_argument("--note", default="", help="what the working tree changes")
@@ -96,7 +100,8 @@ def main(argv=None) -> int:
         for i, seed in enumerate(seeds):
             sides = ("before", "after") if i % 2 == 0 else ("after", "before")
             for side in sides:
-                runs[side].append(bench(trees[side], args.workload, seed, args.seconds))
+                runs[side].append(bench(trees[side], args.workload, seed, args.seconds,
+                                        args.trace))
             pair = {side: runs[side][-1]["metrics"] for side in runs}
             print(f"seed {seed} ({sides[0]} first): " + ", ".join(
                 f"{m} {pair['before'][m]['value']:.4g} -> {pair['after'][m]['value']:.4g}"
@@ -115,6 +120,7 @@ def main(argv=None) -> int:
     result_set = {
         "workload": args.workload,
         "seconds": args.seconds,
+        "trace": args.trace,
         "seeds": seeds,
         "order": "the first seed ran the parent first, then the sides alternated",
         "failed": sorted({r["failed"] for r in all_runs}),
@@ -127,9 +133,9 @@ def main(argv=None) -> int:
     else:
         import numpy
         doc = {
-            "what": (f"perfbench/run.py end-to-end metrics, parent commit {sha[:7]} against "
+            "what": (f"perfbench/run.py metrics, parent commit {sha[:7]} against "
                      f"{args.note or 'the working tree'}, in alternating pairs on the same "
-                     "machine with the same harness (--trace 0)"),
+                     "machine with the same harness; each set records its --trace"),
             "machine": (f"{os.cpu_count()} cores, {platform.machine()}, Python "
                         f"{platform.python_version()}, numpy {numpy.__version__}"),
             "sets": [],
