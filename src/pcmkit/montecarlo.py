@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -206,40 +207,89 @@ class SimulationResult:
 # Generator
 # ---------------------------------------------------------------------------
 
+class _Scratch(threading.local):
+    """Working memory of `perturbed_batch`, one per thread: flat buffers for
+    the stack, its float rows and its flags.  Each grows to the largest size
+    asked for and is handed out as leading views, so every task a thread
+    runs reuses the pages the first one touched.  `clear` drops the calling
+    thread's buffers."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.stack = self.rows = np.empty(0)
+        self.flags = np.empty(0, dtype=bool)
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buf = getattr(self, name)
+        if buf.size < size:
+            buf = np.empty(size, buf.dtype)
+            setattr(self, name, buf)
+        return buf[:size].reshape(shape)
+
+
+# The scratch of `run_task`; `run_simulation` clears its caller's on the way out.
+_SCRATCH = _Scratch()
+
+
 def perturbed_batch(config: GeneratorConfig, rng: np.random.Generator,
-                    count: int) -> np.ndarray:
+                    count: int, scratch: _Scratch | None = None) -> np.ndarray:
     """Stack of `count` perturbed-consistent matrices as an (n, n, count)
     array, the batch-last layout of `power_iterate`.
 
     Draw order is fixed: first the weight block, then one epsilon per
-    unordered pair in row-major upper-triangle order.
+    unordered pair in row-major upper-triangle order.  With a `scratch`
+    the stack is a view of its memory, valid until its next use; without
+    one it is a fresh array.
     """
     n = config.n
-    weights = rng.uniform(config.weight_low, config.weight_high, size=(count, n)).T
-    # `weights` is a transposed view; order="C" still lays the stack out
-    # batch-last in memory, as power_iterate needs it.
-    mats = np.divide(weights[:, None, :], weights[None, :, :], order="C")
-    iu, ju = _upper_indices(n)
-    eps = rng.uniform(-config.delta, config.delta, size=(count, len(iu))).T
+    scratch = scratch if scratch is not None else _Scratch()
+    pairs = n * (n - 1) // 2
+    mats = scratch.take("stack", n, n, count)
+    rows = scratch.take("rows", 3 * pairs + n, count)
+    weights, (upper, lower, eps) = rows[:n], rows[n:].reshape(3, pairs, count)
+    use_upper, below = scratch.take("flags", 2, pairs, count)
 
-    upper = mats[iu, ju]
+    weights[...] = rng.uniform(config.weight_low, config.weight_high, size=(count, n)).T
+    start = 0
+    for i in range(n - 1):  # the pairs (i, i+1..n-1), each a ratio of weights
+        stop = start + n - 1 - i
+        np.divide(weights[i], weights[i + 1:], out=upper[start:stop])
+        np.divide(weights[i + 1:], weights[i], out=lower[start:stop])
+        start = stop
+    eps[...] = rng.uniform(-config.delta, config.delta, size=(count, pairs)).T
+
     # The entry >= 1 of each pair is the one perturbed; on a tied pair
     # (probability zero under continuous draws) the upper entry is taken.
-    use_upper = upper >= 1.0
-    base = np.where(use_upper, upper, mats[ju, iu])
-    shifted = base + eps
-    below = shifted < 1.0
+    # Each step below overwrites a row whose values are no longer needed.
+    np.greater_equal(upper, 1.0, out=use_upper)
+    base = lower
+    np.copyto(base, upper, where=use_upper)
+    shifted = np.add(base, eps, out=upper)
+    np.less(shifted, 1.0, out=below)
     # Folding keeps the noise uniform on the scale where 1/b..1/c spans the
     # same distance as b..c; the denominator exceeds 1 whenever the shifted
-    # value dropped below 1, so positivity never breaks.
-    folded = 1.0 / (1.0 - eps - (base - 1.0))
-    perturbed = np.where(below, folded, shifted)
+    # value dropped below 1, so positivity never breaks.  Evaluated in the
+    # order of 1 / (1 - eps - (base - 1)).
+    folded = np.subtract(1.0, eps, out=eps)
+    np.subtract(folded, np.subtract(base, 1.0, out=base), out=folded)
+    np.divide(1.0, folded, out=folded)
+    perturbed = shifted
+    np.copyto(perturbed, folded, where=below)
+    inverse = np.divide(1.0, perturbed, out=base)
 
     # Not core.reciprocal_from_upper: where the lower entry was perturbed it
     # is stored as `perturbed` itself, which 1 / (1 / perturbed) need not
     # reproduce bit for bit.
-    mats[iu, ju] = np.where(use_upper, perturbed, 1.0 / perturbed)
-    mats[ju, iu] = np.where(use_upper, 1.0 / perturbed, perturbed)
+    iu, ju = _upper_indices(n)
+    entries = folded
+    np.copyto(entries, inverse)
+    np.copyto(entries, perturbed, where=use_upper)
+    mats[iu, ju] = entries
+    np.copyto(perturbed, inverse, where=use_upper)
+    mats[ju, iu] = perturbed
     ii = np.arange(n)
     mats[ii, ii] = 1.0
     return mats
@@ -301,12 +351,15 @@ def simulation_tasks(config: SimulationConfig) -> list[SimTask]:
 
 
 def run_task(config: SimulationConfig, task: SimTask, ri: float) -> TaskPartial:
-    """Generate and evaluate one batch; returns order-independent partial sums."""
+    """Generate and evaluate one batch; returns order-independent partial sums.
+
+    The batch is built in the calling thread's scratch, which keeps its
+    memory for the thread's next task."""
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, task.cell_index, task.batch_index))
     )
     gen = GeneratorConfig(task.n, task.delta)
-    mats = perturbed_batch(gen, rng, task.count)
+    mats = perturbed_batch(gen, rng, task.count, _SCRATCH)
 
     wr, inv, combined, rgm, lam, ok = batch_vectors(mats)
     nonconverged = int((~ok).sum())
@@ -398,13 +451,18 @@ def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
     Deterministic for a given config seed whatever the worker count.  A
     matrix that fails to converge would silently skew the bins, so any
     such failure aborts the run with an error carrying the count; positive
-    matrices are not expected to fail at all.
+    matrices are not expected to fail at all.  The calling thread's
+    generator scratch is emptied when the run returns or raises; a pool
+    worker's dies with the worker.
     """
     table = ri_table if ri_table is not None else default_ri_table()
     ris = {n: table.ri(n) for n in config.dims}
     _check_bin_memory(config)
     args = [(config, t, ris[t.n]) for t in simulation_tasks(config)]
-    result = reduce_partials(config, _ordered_map(run_task, args, workers))
+    try:
+        result = reduce_partials(config, _ordered_map(run_task, args, workers))
+    finally:
+        _SCRATCH.clear()
     if result.nonconverged:
         raise NoConvergenceError(
             _MAX_ITERATIONS, float("nan"),

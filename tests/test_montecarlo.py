@@ -1,4 +1,5 @@
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pcmkit import (
     run_simulation,
     validate,
 )
+from pcmkit import montecarlo
 from pcmkit.consistency import SAATY_SCALE, _ci_cr
 from pcmkit.core import ReciprocityPolicy, reciprocal_from_upper
 from pcmkit.metrics import METRICS, comparison_flags, metric_blocks
@@ -110,6 +112,74 @@ class TestGenerator:
         monkeypatch.setattr("pcmkit.montecarlo.run_task", None)  # never reached
         with pytest.raises(ValueError, match="GiB of memory"):
             run_simulation(config, default_ri_table())
+
+
+class TestGeneratorScratch:
+    """`run_task` builds each batch in its thread's scratch, reused by the
+    thread's later tasks; a public `perturbed_batch` call gets a fresh array."""
+
+    def test_reused_scratch_equals_fresh_batches(self):
+        scratch = montecarlo._Scratch()
+        for n in (9, 4, 15, 3):
+            for count in (1, 2, 130, 2048):
+                config = GeneratorConfig(n=n, delta=2.0)
+                reused_rng, fresh_rng = (np.random.default_rng((n, count)) for _ in range(2))
+                reused = perturbed_batch(config, reused_rng, count, scratch)
+                fresh = perturbed_batch(config, fresh_rng, count)
+                assert reused.shape == fresh.shape == (n, n, count)
+                assert reused.flags.c_contiguous
+                assert reused.tobytes() == fresh.tobytes(), (n, count)
+                assert reused_rng.bytes(8) == fresh_rng.bytes(8)
+
+    def test_every_stack_entry_is_written(self):
+        config = SimulationConfig(dims=(6,), deltas=(2.0,), matrices_per_cell=700, seed=3)
+        task, ri = simulation_tasks(config)[0], default_ri_table().ri(6)
+        scratch = montecarlo._SCRATCH
+        try:
+            first = run_task(config, task, ri)
+            assert scratch.stack.size == 6 * 6 * 700
+            scratch.stack.fill(np.nan)
+            scratch.rows.fill(np.nan)
+            again = run_task(config, task, ri)
+        finally:
+            scratch.clear()
+        assert again.nonconverged == first.nonconverged == 0
+        assert np.array_equal(again.table, first.table)
+
+    def test_runs_in_two_threads_match_sequential_runs(self):
+        table = default_ri_table()
+        configs = [SimulationConfig(dims=dims, deltas=(1.0, 2.0, 3.0), matrices_per_cell=1500,
+                                    seed=seed)
+                   for dims, seed in (((4, 6, 8), 21), ((5, 7, 9), 22))]
+        sequential = [run_simulation(c, table) for c in configs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda c: run_simulation(c, table), configs))
+        for a, b in zip(sequential, threaded):
+            _assert_same_tables(a, b)
+
+    def test_run_empties_the_callers_scratch_on_return_and_on_raise(self, monkeypatch):
+        config = SimulationConfig(dims=(5,), deltas=(1.0, 2.0), matrices_per_cell=300)
+        scratch, solve = montecarlo._SCRATCH, montecarlo.batch_vectors
+        in_use = []
+
+        def watched(mats):
+            in_use.append(scratch.stack.size)
+            return solve(mats)
+
+        def failing(mats):
+            in_use.append(scratch.stack.size)
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(montecarlo, "batch_vectors", watched)
+        run_simulation(config, default_ri_table())
+        assert in_use == [5 * 5 * 300] * 2
+        assert scratch.stack.size == scratch.rows.size == scratch.flags.size == 0
+
+        monkeypatch.setattr(montecarlo, "batch_vectors", failing)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            run_simulation(config, default_ri_table())
+        assert in_use[-1] == 5 * 5 * 300
+        assert scratch.stack.size == scratch.rows.size == scratch.flags.size == 0
 
 
 class TestGeneratorAgainstIndependentReference:

@@ -45,3 +45,18 @@ def test_trace_is_passed_through(monkeypatch):
     with pytest.raises(SystemExit):
         pairs.bench(Path("."), "ri-table", 3, 1.0, 1)
     assert calls[0][-2:] == ["--trace", "1"]
+
+
+@pytest.mark.parametrize("better,wins", [("higher", 2), ("lower", 1), ("sideways", None),
+                                         (None, None)])
+def test_after_wins_follow_the_metric_direction(better, wins):
+    # Pairs: a rise, a fall, a tie and a rise; the tie counts for neither side.
+    before, after = [1.0, 5.0, 3.0, 2.0], [2.0, 4.0, 3.0, 2.5]
+    assert pairs.after_wins(before, after, better) == wins
+
+
+def test_every_declared_metric_has_a_direction():
+    better = pairs.directions()
+    assert better["sim_mps_w1"] == "higher" and better["peak_rss_mb"] == "lower"
+    assert better["montecarlo.perturbed_batch_ms.n4"] == "lower"
+    assert set(better.values()) <= {"higher", "lower"}

@@ -15,7 +15,10 @@ are written as one set of a BENCH_*.json file: the end-to-end metrics with
         --out BENCH_cold_start.json --note "what the change is"
 
 `--append` adds the set to an existing file instead of starting a new one.
-Each set records the `--trace` it ran with.
+Each set records the `--trace` it ran with, and every metric records in how
+many pairs the working tree beat the parent (`after_wins`), in the
+direction its `better` field in BENCHMARK.json gives; a tie counts for
+neither side.
 Medians and interquartile ranges use `statistics.quantiles` (exclusive
 method).  Run from the repository root, with nothing else busy: the two
 sides of a pair share the machine with whatever else runs.
@@ -72,6 +75,20 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def directions() -> dict[str, str]:
+    """`better` ("higher" or "lower") of every metric BENCHMARK.json declares."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in doc["end_to_end"] + doc["per_layer"]}
+
+
+def after_wins(before: list[float], after: list[float], better: str | None) -> int | None:
+    """Pairs in which `after` beat `before`; None for a metric without a direction."""
+    if better not in ("higher", "lower"):
+        return None
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (a - b) > 0 for b, a in zip(before, after))
+
+
 def summary(values: list[float]) -> tuple[float, list[float]]:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return round(median, 4), [round(q1, 4), round(q3, 4)]
@@ -109,12 +126,14 @@ def main(argv=None) -> int:
         shutil.rmtree(trees["before"] / "perfbench" / "out", ignore_errors=True)
 
     metrics = {}
+    better = directions()
     for name, first in runs["before"][0]["metrics"].items():
         entry: dict = {"unit": first["unit"]}
         for side in ("before", "after"):
             entry[side] = [round(r["metrics"][name]["value"], 4) for r in runs[side]]
         for side in ("before", "after"):
             entry[f"{side}_median"], entry[f"{side}_iqr"] = summary(entry[side])
+        entry["after_wins"] = after_wins(entry["before"], entry["after"], better.get(name))
         metrics[name] = entry
     all_runs = runs["before"] + runs["after"]
     result_set = {
@@ -143,8 +162,9 @@ def main(argv=None) -> int:
     doc["sets"].append(result_set)
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in metrics.items():
+        wins = "" if m["after_wins"] is None else f", after better in {m['after_wins']}/{len(seeds)}"
         print(f"{name}: {m['before_median']} {m['before_iqr']} -> "
-              f"{m['after_median']} {m['after_iqr']} {m['unit']}")
+              f"{m['after_median']} {m['after_iqr']} {m['unit']}{wins}")
     return 0
 
 
