@@ -130,15 +130,16 @@ def _iterate(mats, tol, max_iter, matvec, weights, lam_out, iter_out, resid_out,
         done = (change <= tol) & (resid <= tol * lam)
         stop = done if it < max_iter else np.ones_like(done)
         if np.count_nonzero(stop):  # a quarter of the cost of stop.any() on a narrow stack
-            hit = idx[stop]
+            stopped = stop.nonzero()[0]  # one index array: cheaper than a mask per gather
+            hit = idx.take(stopped)
             # Return the iterate the residual was measured at, so the
             # certificate resid <= tol * lam refers to the reported vector.
-            weights[hit] = w[:, stop].T
-            lam_out[hit] = lam[stop]
-            resid_out[hit] = resid[stop]
+            weights[hit] = w.take(stopped, axis=1).T
+            lam_out[hit] = lam.take(stopped)
+            resid_out[hit] = resid.take(stopped)
             iter_out[hit] = it
-            converged[hit] = done[stop]
-            cols = _two_or_more(np.flatnonzero(~stop))
+            converged[hit] = done.take(stopped)
+            cols = _two_or_more((~stop).nonzero()[0])
             if not cols.size:
                 break
             idx = idx[cols]

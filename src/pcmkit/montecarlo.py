@@ -25,7 +25,7 @@ import numpy as np
 
 from ._power import power_iterate
 from .consistency import RiTable, _chunk_sizes, _ci_cr, _ordered_map, default_ri_table
-from .core import PCMatrix, _upper_indices
+from .core import PCMatrix
 from .errors import NoConvergenceError
 from .metrics import METRICS, comparison_flags, metric_blocks
 from .weighting import _MAX_ITERATIONS, _TOL, _vector_rows
@@ -234,6 +234,14 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
+def _select(out: np.ndarray, a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> None:
+    """out = a where mask is -1, b where it is 0, on int64 views: exact for
+    every bit pattern, inf and NaN included.  `out` may be `a`, never `b`."""
+    np.bitwise_xor(a, b, out=out)
+    np.bitwise_and(out, mask, out=out)
+    np.bitwise_xor(out, b, out=out)
+
+
 def perturbed_batch(config: GeneratorConfig, rng: np.random.Generator,
                     count: int, scratch: _Scratch | None = None) -> np.ndarray:
     """Stack of `count` perturbed-consistent matrices as an (n, n, count)
@@ -253,20 +261,23 @@ def perturbed_batch(config: GeneratorConfig, rng: np.random.Generator,
     use_upper, below = scratch.take("flags", 2, pairs, count)
 
     weights[...] = rng.uniform(config.weight_low, config.weight_high, size=(count, n)).T
-    start = 0
-    for i in range(n - 1):  # the pairs (i, i+1..n-1), each a ratio of weights
-        stop = start + n - 1 - i
-        np.divide(weights[i], weights[i + 1:], out=upper[start:stop])
-        np.divide(weights[i + 1:], weights[i], out=lower[start:stop])
-        start = stop
+    # Row i of the matrix holds the pairs (i, i+1..n-1), each a ratio of weights.
+    pair_rows = [(i, slice(i * (2 * n - i - 1) // 2, (i + 1) * (2 * n - i - 2) // 2))
+                 for i in range(n - 1)]
+    for i, pair in pair_rows:
+        np.divide(weights[i], weights[i + 1:], out=upper[pair])
+        np.divide(weights[i + 1:], weights[i], out=lower[pair])
     eps[...] = rng.uniform(-config.delta, config.delta, size=(count, pairs)).T
 
     # The entry >= 1 of each pair is the one perturbed; on a tied pair
     # (probability zero under continuous draws) the upper entry is taken.
+    # max(upper, lower) is that entry bit for bit: upper = fl(wi / wj) and
+    # lower = fl(wj / wi) are positive and finite, so upper > 1 gives
+    # lower <= 1 and upper < 1 gives lower >= 1; upper == 1 means
+    # wi / wj >= 1 - 2**-54, so wj / wi < 1 + 2**-53 rounds to at most 1.
     # Each step below overwrites a row whose values are no longer needed.
     np.greater_equal(upper, 1.0, out=use_upper)
-    base = lower
-    np.copyto(base, upper, where=use_upper)
+    base = np.maximum(upper, lower, out=lower)
     shifted = np.add(base, eps, out=upper)
     np.less(shifted, 1.0, out=below)
     # Folding keeps the noise uniform on the scale where 1/b..1/c spans the
@@ -275,23 +286,21 @@ def perturbed_batch(config: GeneratorConfig, rng: np.random.Generator,
     # order of 1 / (1 - eps - (base - 1)).
     folded = np.subtract(1.0, eps, out=eps)
     np.subtract(folded, np.subtract(base, 1.0, out=base), out=folded)
-    np.divide(1.0, folded, out=folded)
-    perturbed = shifted
-    np.copyto(perturbed, folded, where=below)
-    inverse = np.divide(1.0, perturbed, out=base)
+    with np.errstate(divide="ignore"):  # only on a lane that is not folded
+        np.divide(1.0, folded, out=folded)
+    perturbed, mask = folded.view(np.int64), base.view(np.int64)  # base - 1 is dead
+    _select(perturbed, perturbed, shifted.view(np.int64), np.negative(below.view(np.int8), out=mask))
+    inverse = np.divide(1.0, perturbed.view(float), out=shifted).view(np.int64)
 
     # Not core.reciprocal_from_upper: where the lower entry was perturbed it
     # is stored as `perturbed` itself, which 1 / (1 / perturbed) need not
     # reproduce bit for bit.
-    iu, ju = _upper_indices(n)
-    entries = folded
-    np.copyto(entries, inverse)
-    np.copyto(entries, perturbed, where=use_upper)
-    mats[iu, ju] = entries
-    np.copyto(perturbed, inverse, where=use_upper)
-    mats[ju, iu] = perturbed
-    ii = np.arange(n)
-    mats[ii, ii] = 1.0
+    np.negative(use_upper.view(np.int8), out=mask)
+    stack = mats.view(np.int64)
+    for i, pair in pair_rows:
+        _select(stack[i, i + 1:], perturbed[pair], inverse[pair], mask[pair])
+        _select(stack[i + 1:, i], inverse[pair], perturbed[pair], mask[pair])
+    mats.reshape(n * n, count)[::n + 1] = 1.0
     return mats
 
 

@@ -114,6 +114,112 @@ class TestGenerator:
             run_simulation(config, default_ri_table())
 
 
+class _FixedDraws:
+    """Stands in for a Generator: hands out the given draws in the order the
+    generator asks for them (weights, then one epsilon per pair)."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def uniform(self, low, high, size):
+        return np.asarray(self.draws.pop(0), dtype=float).reshape(size)
+
+
+def _scalar_batch(weights, eps):
+    """The generator pair by pair in Python floats, in its documented order
+    of operations: a (count, n, n) list of matrices."""
+    mats = []
+    for w, e in zip(weights.tolist(), eps.tolist()):
+        n = len(w)
+        m = [[1.0] * n for _ in range(n)]
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+        for (i, j), eps_ij in zip(pairs, e):
+            upper, lower = w[i] / w[j], w[j] / w[i]
+            base = upper if upper >= 1.0 else lower
+            shifted = base + eps_ij
+            value = 1.0 / ((1.0 - eps_ij) - (base - 1.0)) if shifted < 1.0 else shifted
+            m[i][j], m[j][i] = (value, 1.0 / value) if upper >= 1.0 else (1.0 / value, value)
+        mats.append(m)
+    return mats
+
+
+def _assert_matches_scalar(mats, weights, eps):
+    expected = np.array(_scalar_batch(np.asarray(weights, float), np.asarray(eps, float)))
+    got = np.moveaxis(mats, 2, 0)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+class TestGeneratorBits:
+    """`perturbed_batch` equals a per-pair scalar construction bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 15])
+    @pytest.mark.parametrize("delta", [1e-12, 0.5, 2.0, 8.0])
+    def test_matches_the_scalar_reference(self, n, delta):
+        config = GeneratorConfig(n=n, delta=delta)
+        scratch = montecarlo._Scratch()
+        for count in (1, 2, 257):
+            seed = (n, int(delta * 10), count)
+            draws = np.random.default_rng(seed)
+            weights = draws.uniform(config.weight_low, config.weight_high, size=(count, n))
+            eps = draws.uniform(-delta, delta, size=(count, n * (n - 1) // 2))
+            for use in (None, scratch):
+                mats = perturbed_batch(config, np.random.default_rng(seed), count, use)
+                _assert_matches_scalar(mats, weights, eps)
+
+    def test_a_tie_perturbs_the_upper_entry(self):
+        # w0 == w1: both ratios are 1, and the fold lands on the upper entry.
+        weights, eps = [[2.0, 2.0, 5.0]], [[-0.25, 0.5, 0.125]]
+        mats = perturbed_batch(GeneratorConfig(3, 1.0), _FixedDraws(weights, eps), 1)
+        assert mats[0, 1, 0] == 0.8 and mats[1, 0, 0] == 1.25
+        _assert_matches_scalar(mats, weights, eps)
+
+    @pytest.mark.parametrize("w0, w1, eps01", [
+        (4.0, 2.0, -1.0),  # 2 - 1 is exactly 1
+        (4.0, 2.0, np.nextafter(-1.0, -2.0)),  # just below 1: folded
+        (4.0, 2.0, np.nextafter(-1.0, 0.0)),  # 1 + 2**-53 rounds to 1
+        # 1.51 + eps rounds to 1, where the fold would give 1 + 2**-52.
+        (1.51, 1.0, -0.5099999999999999),
+    ])
+    def test_epsilon_at_the_fold_edge(self, w0, w1, eps01):
+        weights, eps = [[w0, w1, 9.0]], [[eps01, 0.5, -0.5]]
+        mats = perturbed_batch(GeneratorConfig(3, 1.0), _FixedDraws(weights, eps), 1)
+        assert mats[0, 1, 0] == mats[1, 0, 0] == 1.0
+        _assert_matches_scalar(mats, weights, eps)
+
+    def test_a_zero_fold_denominator_off_the_fold_is_silent(self):
+        # Pair (0, 1): base 1.5 and epsilon 0.5 shift to 2, so it is not
+        # folded, but (1 - 0.5) - (1.5 - 1) is zero.  pytest turns a
+        # floating-point warning into an error.
+        weights, eps = [[3.0, 2.0, 1.0]], [[0.5, 0.0, 0.0]]
+        mats = perturbed_batch(GeneratorConfig(3, 1.0), _FixedDraws(weights, eps), 1)
+        assert mats[0, 1, 0] == 2.0 and mats[1, 0, 0] == 0.5
+        _assert_matches_scalar(mats, weights, eps)
+
+
+class TestSelect:
+    """`montecarlo._select` picks whole bit patterns, whatever they encode."""
+
+    # +-0, subnormals, +-inf, normal values, the largest float, then three
+    # NaNs as int64: quiet with a payload, signalling, and negative with
+    # every payload bit set.
+    PATTERNS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0e-310, np.inf, -np.inf, 1.0, -3.5,
+                         np.finfo(float).max]).view(np.int64).tolist() + [
+        0x7FF8_0000_0000_1234, 0x7FF0_0000_0000_0001, -1]
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("alias", [False, True])
+    def test_exact_for_every_bit_pattern(self, swap, alias):
+        a, b = (np.ascontiguousarray(x) for x in np.meshgrid(self.PATTERNS, self.PATTERNS))
+        if swap:
+            a, b = b, a
+        mask = np.resize(np.array([0, -1, -1, 0, -1], dtype=np.int64), a.shape)
+        expected = np.where(mask == -1, a, b)
+        out = a.copy() if alias else np.empty_like(a)
+        with np.errstate(all="raise"):
+            montecarlo._select(out, out if alias else a, b, mask)
+        assert out.tolist() == expected.tolist()
+
+
 class TestGeneratorScratch:
     """`run_task` builds each batch in its thread's scratch, reused by the
     thread's later tasks; a public `perturbed_batch` call gets a fresh array."""
