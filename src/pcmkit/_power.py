@@ -29,11 +29,12 @@ conditions that this module keeps:
    into a C-contiguous buffer.  On a strided stack, such as a boolean-
    indexed view, einsum returns its result in another memory order, and
    the sums over n then add in another order.
-3. Weights are returned as C-contiguous (B, n) rows.  Every sum over a
-   row that consumers take (the unit-sum scaling, the Euclidean distance)
-   runs in that layout, whose rounding a row gets at any batch size;
-   `metrics.metric_blocks` transposes only for maxima and exact integer
-   sums, whose bits no order can change.
+3. Every per-matrix vector is batch-last, (n, B), from the weights on.
+   Outside this loop a sum over n of a vector goes through `_row_sum`,
+   which adds a column's n terms in numpy's order for one contiguous row,
+   the order it gets at any width; the row geometric mean sums its logs in
+   that order in place (`weighting._rgm_rows`).  Maxima and exact integer
+   sums need no care: no order changes their bits.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ import numpy as np
 # are the same.
 _sum = np.add.reduce
 _max = np.maximum.reduce
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of an (n, ...) array over axis 0, each column's n terms reduced
+    as one C-contiguous row: the same bits at any width (rule 3)."""
+    return _sum(x.T.copy(), axis=-1).T
+
 
 # Mat-vecs per stopping test.  Measured on 8192-matrix batches of order
 # 4-15: 8 beat 4, and the stop rounds up by at most 7 mat-vecs.
@@ -85,26 +93,28 @@ def power_iterate(mats: np.ndarray, tol: float, max_iter: int, transpose: bool =
     matrix stops once both the componentwise relative change of its
     normalized iterate and its eigen-residual max_i |(A w)_i - lam w_i| / w_i
     are within tol (the residual scaled by lam).  Returns arrays
-    (weights, lam, iterations, residual, converged) where weights is a
-    C-contiguous (B, n) array whose rows sum to one and iterations counts
+    (weights, lam, iterations, residual, converged) where weights is an
+    (n, B) array whose columns sum to one and iterations counts
     matrix-vector products: a multiple of _CHECK_EVERY for a converged
     matrix, or max_iter.  The residual is the one measured at the reported
-    weights.  The stack is iterated in the pieces of `_pieces`.
+    weights.  The stack is iterated in the pieces of `_pieces`; a matrix
+    whose iterate underflows ends not converged, with no numpy warning.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3 or mats.shape[0] != mats.shape[1]:
         raise ValueError(f"expected an (n, n, B) stack, got shape {mats.shape}")
     n, _, batch = mats.shape
-    out = (np.full((batch, n), 1.0 / n), np.zeros(batch), np.zeros(batch, dtype=np.int64),
+    out = (np.full((n, batch), 1.0 / n), np.zeros(batch), np.zeros(batch, dtype=np.int64),
            np.full(batch, np.inf), np.zeros(batch, dtype=bool))
-    for piece in _pieces(n, batch):
-        _iterate(mats[:, :, piece], tol, max_iter, _MATVEC[bool(transpose)],
-                 *(a[piece] for a in out))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for piece in _pieces(n, batch):
+            _iterate(mats[:, :, piece], tol, max_iter, _MATVEC[bool(transpose)],
+                     *(a[..., piece] for a in out))
     return out
 
 
 def _iterate(mats, tol, max_iter, matvec, weights, lam_out, iter_out, resid_out, converged):
-    """Solve one piece of `power_iterate` into its rows of the results."""
+    """Solve one piece of `power_iterate` into its columns of the results."""
     n, _, batch = mats.shape
     # Column k of the stack solves matrix idx[k].  A contiguous piece of two
     # or more matrices is iterated without a copy.
@@ -134,7 +144,7 @@ def _iterate(mats, tol, max_iter, matvec, weights, lam_out, iter_out, resid_out,
             hit = idx.take(stopped)
             # Return the iterate the residual was measured at, so the
             # certificate resid <= tol * lam refers to the reported vector.
-            weights[hit] = w.take(stopped, axis=1).T
+            weights[:, hit] = w.take(stopped, axis=1)
             lam_out[hit] = lam.take(stopped)
             resid_out[hit] = resid.take(stopped)
             iter_out[hit] = it

@@ -111,7 +111,7 @@ class PCMatrix:
             raise NonSquareError("a pairwise comparison matrix needs at least 2 alternatives")
         _check_positive(a)
         diag = np.diag(a)
-        if not np.all(diag == 1.0):
+        if not (diag == 1.0).all():
             i = int(np.argmax(diag != 1.0))
             raise ReciprocityViolationError(i, i, diag[i] * diag[i] - 1.0)
         residual = np.abs(a * a.T - 1.0)
@@ -138,7 +138,7 @@ class PCMatrix:
 def _require_positive(priorities: np.ndarray) -> None:
     """The check every WeightVector passes, on priorities of any shape:
     raises NonPositiveWeightError unless all are finite and above zero."""
-    if not np.all(np.isfinite(priorities) & (priorities > 0.0)):
+    if not (np.isfinite(priorities) & (priorities > 0.0)).all():
         raise NonPositiveWeightError("all priorities must be strictly positive and finite")
 
 

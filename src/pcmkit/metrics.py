@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._power import _max, _row_sum, _sum
 from .consistency import RiTable, _ci_cr, default_ri_table
 from .core import PCMatrix, WeightVector, _require_positive, _upper_indices
 from .errors import DimensionMismatchError
@@ -23,18 +24,12 @@ METRICS = ("euclidean", "chebyshev", "max_ratio", "kendall")
 # Vector pairs measured per matrix, all anchored at the right eigenvector.
 PAIRS = ("inverse_left", "combined", "row_geometric_mean")
 
-# The ufunc reductions behind np.sum and np.max, called directly: on a
-# batch of one the wrappers cost as much as the arithmetic, and the bits
-# are the same.
-_sum = np.add.reduce
-_max = np.maximum.reduce
-
 
 def _unit(x) -> np.ndarray:
     if isinstance(x, WeightVector):
         return x.unit()
     a = np.asarray(x, dtype=float)
-    return a / a.sum()
+    return a / _row_sum(a)
 
 
 def _metric(index: int, u, v) -> float:
@@ -43,7 +38,7 @@ def _metric(index: int, u, v) -> float:
     a, b = _unit(u), _unit(v)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    return float(metric_blocks(a[None], (b[None],))[index, 0, 0])
+    return float(metric_blocks(a[:, None], (b[:, None],))[index, 0, 0])
 
 
 def euclidean(u, v) -> float:
@@ -108,47 +103,44 @@ class ComparisonRecord:
 
 
 def metric_blocks(right: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray:
-    """All four metrics between each row of `right` and the same row of
-    every array in `others`, all (batch, n) and unit-sum.
+    """All four metrics between each column of `right` and the same column
+    of every array in `others`, all (n, batch) and unit-sum.
 
     Returns shape (len(METRICS), len(others), batch).  The pairs are taken
     one at a time so that no more than one (n(n-1)/2, batch) sign block per
     vector is alive at once.
 
-    Maxima and the Kendall sum run batch-last, along axis 0 of C-contiguous
-    (n, batch) transposes, where each is a few elementwise passes over rows
-    of length batch.  Their bits cannot depend on that order: a maximum is
-    exact in any order, and the Kendall sum adds sign products in {-1, 0, 1}
-    into an exact small integer, #concordant - #discordant.  The Euclidean
-    sum of squares stays in (batch, n) row order, whose rounding at n >= 8
-    is the one a row gets in any batch.
+    Every reduction runs over axis 0.  The Euclidean sum of squares, which
+    rounds, goes through `_row_sum`, whose order a column gets in any
+    batch.  The maxima and the Kendall sum run along axis 0 directly, as a
+    few elementwise passes over rows of length batch: a maximum is exact in
+    any order, and the Kendall sum adds sign products in {-1, 0, 1} into an
+    exact small integer, #concordant - #discordant.
     """
-    batch, n = right.shape
+    n, batch = right.shape
     out = np.empty((len(METRICS), len(others), batch))
     iu, ju = _upper_indices(n)
     pairs = n * (n - 1) / 2
-    right_t = np.ascontiguousarray(right.T)
-    sign_r = np.sign(right_t[iu] - right_t[ju])
+    sign_r = np.sign(right[iu] - right[ju])
     for p, other in enumerate(others):
         diff = right - other
-        out[0, p] = np.sqrt(_sum(diff * diff, axis=1))
-        other_t = np.ascontiguousarray(other.T)
-        out[1, p] = _max(np.abs(right_t - other_t), axis=0)
-        ratio = right_t / other_t
+        out[0, p] = np.sqrt(_row_sum(diff * diff))
+        out[1, p] = _max(np.abs(diff), axis=0)
+        ratio = right / other
         out[2, p] = _max(np.maximum(ratio, 1.0 / ratio), axis=0)
-        out[3, p] = _sum(sign_r * np.sign(other_t[iu] - other_t[ju]), axis=0) / pairs
+        out[3, p] = _sum(sign_r * np.sign(other[iu] - other[ju]), axis=0) / pairs
     return out
 
 
 def comparison_flags(values: np.ndarray, right: np.ndarray,
                      inverse_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(closer, top) of a batch from `metric_blocks(right, (inverse_left,
-    combined, rgm))`: closer[m, k] when the RGM of row k is at least as close
-    as its inverse-left vector under metric m, top[k] when the right and
-    inverse-left vectors of row k rank different alternatives first."""
+    combined, rgm))`: closer[m, k] when the RGM of column k is at least as
+    close as its inverse-left vector under metric m, top[k] when the right
+    and inverse-left vectors of column k rank different alternatives first."""
     closer = np.array([rgm_at_least_as_close(m, values[mi, 2], values[mi, 0])
                        for mi, m in enumerate(METRICS)])
-    top = np.argmax(right, axis=1) != np.argmax(inverse_left, axis=1)
+    top = np.argmax(right, axis=0) != np.argmax(inverse_left, axis=0)
     return closer, top
 
 
@@ -161,8 +153,8 @@ def record_from_vectors(right: np.ndarray, inverse_left: np.ndarray,
     `metric_blocks` and `comparison_flags` on a batch of one: the same
     arithmetic the simulation applies to a batch.
     """
-    block = metric_blocks(right[None], (inverse_left[None], combined[None], rgm[None]))
-    closer, top = comparison_flags(block, right[None], inverse_left[None])
+    block = metric_blocks(right[:, None], [v[:, None] for v in (inverse_left, combined, rgm)])
+    closer, top = comparison_flags(block, right[:, None], inverse_left[:, None])
     d_r = np.sign(right[:, None] - right[None, :])
     d_l = np.sign(inverse_left[:, None] - inverse_left[None, :])
     return ComparisonRecord(

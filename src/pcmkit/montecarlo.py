@@ -320,8 +320,8 @@ def batch_vectors(mats: np.ndarray):
     """Right, inverse-left, combined, and row-geometric-mean vectors plus
     the dominant eigenvalue for an (n, n, B) stack of matrices.
 
-    Returns (right, inverse_left, combined, rgm, lam, ok), each vector a
-    (B, n) array of rows, where ok flags matrices whose two eigen runs both
+    Returns (right, inverse_left, combined, rgm, lam, ok), each vector an
+    (n, B) array of columns, where ok flags matrices whose two eigen runs both
     converged and agree on the eigenvalue.
     """
     wr, lam_r, _, _, conv_r = power_iterate(mats, _TOL, _MAX_ITERATIONS)
@@ -373,7 +373,7 @@ def run_task(config: SimulationConfig, task: SimTask, ri: float) -> TaskPartial:
     wr, inv, combined, rgm, lam, ok = batch_vectors(mats)
     nonconverged = int((~ok).sum())
     if nonconverged:
-        wr, inv, combined, rgm, lam = (a[ok] for a in (wr, inv, combined, rgm, lam))
+        wr, inv, combined, rgm, lam = (a[..., ok] for a in (wr, inv, combined, rgm, lam))
 
     _, cr = _ci_cr(lam, task.n, ri)
     nb = config.n_bins

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._power import power_iterate
+from ._power import _row_sum, power_iterate
 from .core import (Normalization, PCMatrix, WeightVector, _upper_indices, normalize,
                    reciprocal_from_upper)
 from .errors import DimensionMismatchError, EmptyListError, NoConvergenceError
@@ -52,29 +52,27 @@ class EigenResult:
 _ROW_METHODS = ("right-eigenvector", "left-eigenvector")
 
 
-# The ufunc reduction behind ndarray.sum and .mean, called directly as in
-# `_power`: on a batch of one the wrappers cost as much as the arithmetic.
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.add.reduce(x, axis=1, keepdims=True)
-
-
 def _rgm_rows(mats: np.ndarray) -> np.ndarray:
-    """Unit-sum row geometric means, as (B, n) rows, of every matrix in an
-    (n, n, B) stack.  The logs are laid out as a C-contiguous (B, n, n)
-    stack, so each row is summed in the same order at every batch size."""
-    logs = np.log(mats.transpose(2, 0, 1), order="C")
-    return _unit_rows(np.exp(np.add.reduce(logs, axis=2) / logs.shape[2]))
+    """Unit-sum row geometric means, as (n, B) columns, of every matrix in
+    an (n, n, B) stack.  The logs are laid out as a C-contiguous (n, B, n)
+    stack, so each row's logs are summed in the order of `_row_sum` at
+    every batch size, with no second copy of the logs."""
+    logs = np.log(mats.transpose(0, 2, 1), order="C")
+    x = np.exp(np.add.reduce(logs, axis=2) / logs.shape[2])
+    return x / _row_sum(x)
 
 
 def _vector_rows(mats: np.ndarray, right: np.ndarray, left: np.ndarray,
                  lam_right: np.ndarray, lam_left: np.ndarray, tol: float):
-    """Inverse-left, combined and row-geometric-mean rows of an (n, n, B)
-    stack from its right and left rows and eigenvalues as `power_iterate`
-    returns them, and whether each matrix's two eigenvalues agree."""
-    n = mats.shape[0]
-    agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * n * tol) * lam_right
-    inverse_left = _unit_rows(1.0 / left)
-    combined = _unit_rows(right * inverse_left)
+    """Inverse-left, combined and row-geometric-mean vectors of an (n, n, B)
+    stack from its (n, B) right and left vectors and eigenvalues, and whether
+    each matrix's two eigenvalues agree.  Underflow gives no numpy warning."""
+    agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * len(mats) * tol) * lam_right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse_left = 1.0 / left
+        inverse_left /= _row_sum(inverse_left)
+        combined = right * inverse_left
+        combined /= _row_sum(combined)
     return inverse_left, combined, _rgm_rows(mats), agree
 
 
@@ -82,25 +80,25 @@ def _solved(matrix: PCMatrix) -> tuple:
     """The matrix's memo slot: (right, left, rows, agree).
 
     `right` and `left` are the Perron pairs of the matrix and of its
-    transpose as power iteration returns them: an EigenResult for a
-    converged row, (iterations, residual) for one that blew the budget, so
-    every caller raises its own error.  `rows` holds the inverse-left,
-    combined and row-geometric-mean vectors and `agree` whether the two
-    eigenvalues agree.  Filled by the first call; threads that race
-    on an empty slot each solve and store equal, immutable results.
+    transpose, columns 0 and 1 of one power-iteration call: an EigenResult
+    for a converged column, (iterations, residual) for one that blew the
+    budget, so every caller raises its own error.  `rows` holds the
+    inverse-left, combined and row-geometric-mean vectors and `agree`
+    whether the two eigenvalues agree.  Filled by the first call; threads
+    that race on an empty slot each solve and store equal, immutable results.
     """
     if matrix._eigen is None:
         a = matrix.entries
-        w, lam, iters, resid, conv = power_iterate(np.stack([a, a.T], axis=-1), _TOL,
+        w, lam, iters, resid, conv = power_iterate(np.array((a, a.T)).transpose(1, 2, 0), _TOL,
                                                    _MAX_ITERATIONS)
-        *rows, agree = _vector_rows(a[:, :, None], w[:1], w[1:], lam[:1], lam[1:], _TOL)
+        *rows, agree = _vector_rows(a[:, :, None], w[:, :1], w[:, 1:], lam[:1], lam[1:], _TOL)
         pairs = [
-            EigenResult(WeightVector(w[k], Normalization.SUM_ONE, _ROW_METHODS[k]),
+            EigenResult(WeightVector(w[:, k], Normalization.SUM_ONE, _ROW_METHODS[k]),
                         float(lam[k]), int(iters[k]), float(resid[k]))
             if conv[k] else (int(iters[k]), float(resid[k]))
             for k in (0, 1)
         ]
-        object.__setattr__(matrix, "_eigen", (*pairs, tuple(r[0] for r in rows), bool(agree[0])))
+        object.__setattr__(matrix, "_eigen", (*pairs, tuple(r[:, 0] for r in rows), bool(agree[0])))
     return matrix._eigen
 
 
@@ -170,7 +168,7 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
     Closed form, no iteration; this is the optimum of the logarithmic
     least squares problem.
     """
-    return WeightVector(_rgm_rows(matrix.entries[:, :, None])[0], Normalization.SUM_ONE,
+    return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0], Normalization.SUM_ONE,
                         "row-geometric-mean")
 
 

@@ -162,10 +162,10 @@ def test_criterion_05_consistent_matrix_degeneracy():
         squared = w * w
         squared /= squared.sum(axis=1, keepdims=True)
         worst_vec = max(worst_vec,
-                        float(np.max(np.abs(wr - w))),
-                        float(np.max(np.abs(inv - w))),
-                        float(np.max(np.abs(rgm - w))),
-                        float(np.max(np.abs(combined - squared))))
+                        float(np.max(np.abs(wr - w.T))),
+                        float(np.max(np.abs(inv - w.T))),
+                        float(np.max(np.abs(rgm - w.T))),
+                        float(np.max(np.abs(combined - squared.T))))
         worst_lam = max(worst_lam, float(np.max(np.abs(lam - n))))
         ci = (lam - n) / (n - 1)
         ci = np.where(np.abs(ci) < 1e-9, 0.0, ci)
@@ -245,7 +245,7 @@ def test_criterion_10_eigen_oracle_equivalence():
             b /= b.max(axis=(1, 2), keepdims=True)
         v = np.matmul(b, np.full((1000, n, 1), 1.0 / n))[:, :, 0]
         oracle = v / v.sum(axis=1, keepdims=True)
-        worst = max(worst, float(np.max(np.abs(wr - oracle))))
+        worst = max(worst, float(np.max(np.abs(wr - oracle.T))))
     ok = worst < 1e-8
     _report(10, "power iteration matches repeated-squaring oracle", ok,
             f"max componentwise gap {worst:.2e} over 2000 matrices")

@@ -1,0 +1,48 @@
+"""The pure helpers of tools/bits.py, the parent-against-tree output check."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bits.py"
+_spec = importlib.util.spec_from_file_location("bits", _PATH)
+bits = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bits)
+
+MANIFEST = """tool_version=0.1.0
+numpy=2.4.6
+timestamp_utc=2026-01-01T00:00:00+00:00
+workers=1
+sha256[histogram.csv]=aaaa
+sha256[bins_euclidean.csv]=bbbb
+"""
+
+
+def test_manifests_that_differ_only_in_the_timestamp_match():
+    later = MANIFEST.replace("2026-01-01T00:00:00", "2026-10-19T12:34:56")
+    assert bits.manifest_diff(MANIFEST, later) == []
+
+
+def test_a_changed_hash_shows_both_lines():
+    changed = MANIFEST.replace("=bbbb", "=cccc")
+    assert bits.manifest_diff(MANIFEST, changed) == ["-sha256[bins_euclidean.csv]=bbbb",
+                                                     "+sha256[bins_euclidean.csv]=cccc"]
+
+
+def test_missing_and_reordered_lines_show():
+    lines = MANIFEST.splitlines()
+    missing = "\n".join(lines[:-1])
+    assert bits.manifest_diff(MANIFEST, missing) == ["-sha256[bins_euclidean.csv]=bbbb"]
+    swapped = "\n".join(lines[:-2] + [lines[-1], lines[-2]])
+    assert bits.manifest_diff(MANIFEST, swapped) != []
+
+
+def test_csv_diff_names_changed_and_missing_files(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for d in (before, after):
+        d.mkdir()
+        (d / "same.csv").write_bytes(b"a,b\n1,2\n")
+    (before / "changed.csv").write_bytes(b"x\n0.1\n")
+    (after / "changed.csv").write_bytes(b"x\n0.10000000000000001\n")
+    (before / "gone.csv").write_bytes(b"x\n")
+    (after / "manifest.txt").write_text("not a csv\n")
+    assert bits.csv_diff(before, after) == ["changed.csv", "gone.csv"]

@@ -211,6 +211,22 @@ class TestCompareCommand:
                                 "positive and finite\n")
 
 
+@pytest.mark.parametrize("command", ["weights", "consistency", "compare"])
+def test_underflowing_perron_vector_exits_2_with_one_error_line(tmp_path, command):
+    """Run as a user would, with numpy's warnings shown: the only line on
+    stderr is the error."""
+    path = tmp_path / "underflow.txt"
+    path.write_text("3\n1 1e200 1e300\n1e-200 1 1e250\n1e-300 1e-250 1\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "pcmkit.cli", command, str(path)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pcmkit: error: no convergence"), lines
+
+
 class TestGenerateCommand:
     def test_writes_deterministic_loadable_matrices(self, tmp_path, capsys):
         out_a = tmp_path / "a"

@@ -107,8 +107,8 @@ class TestOneSolvePerMatrix:
             np.stack([m.entries, m.entries.T], axis=-1), weighting._TOL, weighting._MAX_ITERATIONS)
         assert conv.all()
         for got, k in ((right, 0), (left, 1)):
-            # The raw power-iteration row: the vector the residual certifies.
-            assert got.weights.priorities.tobytes() == w[k].tobytes()
+            # The raw power-iteration column: the vector the residual certifies.
+            assert got.weights.priorities.tobytes() == w[:, k].tobytes()
             assert got.iterations == iters[k]
             assert got.residual == resid[k]
         assert right.lambda_max == left.lambda_max == lam[0]

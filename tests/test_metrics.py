@@ -218,7 +218,7 @@ class TestMetricKernel:
         ]
         tied = rng.random(batch) < 0.5
         right[tied] = _unit_rows(rng.integers(1, 3, (int(tied.sum()), n)).astype(float))
-        got = metric_blocks(right, others)
+        got = metric_blocks(right.T, [other.T for other in others])
         assert got.shape == (len(METRICS), len(others), batch)
         for p, other in enumerate(others):
             for k in range(batch):
@@ -226,8 +226,8 @@ class TestMetricKernel:
                 assert got[:, p, k].tobytes() == want.tobytes()
 
     def test_ties_give_sign_zero(self):
-        right = np.array([[0.25, 0.25, 0.5]])
-        other = np.array([[0.2, 0.3, 0.5]])
+        right = np.array([[0.25, 0.25, 0.5]]).T
+        other = np.array([[0.2, 0.3, 0.5]]).T
         # Pair (0, 1) is tied in `right`, so only (0, 2) and (1, 2) count.
         assert metric_blocks(right, [other])[3, 0, 0] == 2 / 3
         assert metric_blocks(right, [right])[:, 0, 0].tolist() == [0.0, 0.0, 1.0, 2 / 3]
@@ -236,6 +236,6 @@ class TestMetricKernel:
         rng = np.random.default_rng(9)
         vecs = _unit_rows(rng.uniform(1.0, 9.0, (4, 7)))
         record = record_from_vectors(*vecs, cr=0.05)
-        block = metric_blocks(vecs[None, 0], [vecs[None, k] for k in (1, 2, 3)])
+        block = metric_blocks(vecs[0][:, None], [vecs[k][:, None] for k in (1, 2, 3)])
         for mi, m in enumerate(METRICS):
             assert record.values[m] == tuple(block[mi, :, 0].tolist())

@@ -25,7 +25,7 @@ def _pool(n: int = 5, count: int = 300) -> np.ndarray:
 
 
 def _rows(result, k):
-    return tuple(a[k] for a in result)
+    return tuple(a[..., k] for a in result)
 
 
 def _assert_same_bits(got, want):
@@ -70,11 +70,10 @@ class TestBatchIndependence:
         assert conv.all()
         assert np.all(resid <= TOL * lam)
         # The residual is recomputed from the returned weights, not trusted.
-        w = np.ascontiguousarray(weights.T)
-        v = np.einsum("ijb,jb->ib", pool, w)
-        recomputed = np.max(np.abs(v - lam * w) / w, axis=0)
+        v = np.einsum("ijb,jb->ib", pool, weights)
+        recomputed = np.max(np.abs(v - lam * weights) / weights, axis=0)
         assert np.array_equal(recomputed, resid)
-        assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
     def test_converged_counts_fall_on_check_steps(self, pool):
         _, _, iters, _, conv = power_iterate(pool, TOL, MAX_ITER)
@@ -107,7 +106,7 @@ class TestEigenSystemSharesTheKernel:
             alone = [power_iterate(m[:, :, None], TOL, MAX_ITER) for m in (entries, entries.T)]
             for result, (w, lam, iters, resid, conv) in zip(pair, alone):
                 assert conv[0]
-                assert result.weights.priorities.tobytes() == w[0].tobytes()
+                assert result.weights.priorities.tobytes() == w[:, 0].tobytes()
                 assert result.iterations == iters[0]
                 assert result.residual == resid[0]
             # Both results report the right-hand eigenvalue.
@@ -155,12 +154,6 @@ class TestNarrowAndStridedStacks:
         for pos, k in enumerate(np.flatnonzero(mask)):
             _assert_same_bits(_rows(result, pos), _rows(full[transpose], k))
 
-    def test_weights_are_contiguous_rows(self, order_pool, transpose):
-        pool, full = order_pool
-        weights = full[transpose][0]
-        assert weights.shape == (pool.shape[2], pool.shape[0])
-        assert weights.flags.c_contiguous
-
 
 def test_transpose_flag_equals_a_transposed_copy(order_pool):
     pool, full = order_pool
@@ -168,7 +161,7 @@ def test_transpose_flag_equals_a_transposed_copy(order_pool):
     _assert_same_bits(power_iterate(copy, TOL, MAX_ITER), full[True])
 
 
-@pytest.mark.parametrize("n", [6, 15])
+@pytest.mark.parametrize("n", [6, 15, 23])
 def test_matrix_whose_two_solves_stop_apart_matches_the_batch(n):
     """eigen_system solves A and A^T as a stack of two, so when one stops
     first the other runs on as two copies of itself; the matrix still gets
@@ -184,13 +177,36 @@ def test_matrix_whose_two_solves_stop_apart_matches_the_batch(n):
         pair = eigen_system(m)
         assert ok[k]
         for result, rows in zip(pair, (right, left)):
-            assert result.weights.priorities.tobytes() == rows[0][k].tobytes()
+            assert result.weights.priorities.tobytes() == rows[0][:, k].tobytes()
             assert (result.iterations, result.residual) == (rows[2][k], rows[3][k])
         assert pair[0].lambda_max == lam[k]
-        assert pair[0].weights.priorities.tobytes() == wr[k].tobytes()
-        assert inverse_left_eigenvector(m).priorities.tobytes() == inv[k].tobytes()
-        assert combined_eigenvector(m).priorities.tobytes() == combined[k].tobytes()
-        assert row_geometric_mean(m).priorities.tobytes() == rgm[k].tobytes()
+        assert pair[0].weights.priorities.tobytes() == wr[:, k].tobytes()
+        assert inverse_left_eigenvector(m).priorities.tobytes() == inv[:, k].tobytes()
+        assert combined_eigenvector(m).priorities.tobytes() == combined[:, k].tobytes()
+        assert row_geometric_mean(m).priorities.tobytes() == rgm[:, k].tobytes()
+
+
+@pytest.mark.parametrize("tail", [(), (2,)], ids=["2-D", "3-D"])
+def test_row_sum_adds_each_column_as_one_contiguous_row(tail):
+    """`_row_sum` gives every column the bits of np.add.reduce over that
+    column copied to a contiguous row, at every width (rule 3)."""
+    rng = np.random.default_rng(16)
+    elementwise_differs = False
+    for n in (*range(3, 41), 129, 257):
+        # Magnitudes spread over 1e-4..1e4, so that the order of the adds shows.
+        x = np.exp(rng.uniform(-9.0, 9.0, (n, 2048) + tail))
+        wide = _power._row_sum(x)
+        assert wide.shape == (2048,) + tail
+        for width in (1, 2, 3, 2048):
+            narrow = np.ascontiguousarray(x[:, :width])
+            got = _power._row_sum(narrow)
+            assert got.tobytes() == wide[:width].tobytes()
+            for col in np.ndindex(got.shape):
+                row = np.ascontiguousarray(narrow[(slice(None),) + col])
+                assert got[col].tobytes() == np.add.reduce(row).tobytes()
+        elementwise_differs |= not np.array_equal(np.add.reduce(x, axis=0), wide)
+    # The order is not the one a batch-last sum along axis 0 takes.
+    assert elementwise_differs
 
 
 # (matrices, budget in entries at order n, piece widths): pieces of 150 that

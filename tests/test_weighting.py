@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,18 @@ class TestRightEigenvector:
         with pytest.raises(NoConvergenceError) as err:
             right_eigenvector(PCMatrix(four_alt.entries))
         assert err.value.iterations == 2
+
+    def test_underflowing_perron_vector_raises_no_convergence(self):
+        # The right vector's last entry underflows to zero: the solver must
+        # end that matrix as not converged without a floating-point warning.
+        m = PCMatrix(np.array([[1.0, 1e200, 1e300], [1e-200, 1.0, 1e250],
+                               [1e-300, 1e-250, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError):
+                right_eigenvector(m)
+            with pytest.raises(NoConvergenceError):
+                eigen_system(m)
 
     def test_matches_repeated_squaring_oracle(self):
         rng = np.random.default_rng(42)
