@@ -30,11 +30,12 @@ conditions that this module keeps:
    indexed view, einsum returns its result in another memory order, and
    the sums over n then add in another order.
 3. Every per-matrix vector is batch-last, (n, B), from the weights on.
-   Outside this loop a sum over n of a vector goes through `_row_sum`,
-   which adds a column's n terms in numpy's order for one contiguous row,
-   the order it gets at any width; the row geometric mean sums its logs in
-   that order in place (`weighting._rgm_rows`).  Maxima and exact integer
-   sums need no care: no order changes their bits.
+   Outside this loop every sum over n, the row geometric mean's sums of
+   logs included, goes through `_row_sum`.  It adds a column's n terms in
+   numpy's order for one contiguous row, the order a column gets at any
+   width, written out as adds of whole rows along the batch, so at width
+   >= 2 no copy is made.  Maxima and exact integer sums need no care: no
+   order changes their bits.
 """
 
 from __future__ import annotations
@@ -49,9 +50,39 @@ _max = np.maximum.reduce
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of an (n, ...) array over axis 0, each column's n terms reduced
-    as one C-contiguous row: the same bits at any width (rule 3)."""
-    return _sum(x.T.copy(), axis=-1).T
+    """Sum of an (n, ...) array, n >= 2, over axis 0 that adds each
+    column's n terms in numpy's order for one contiguous row (rule 3), so a
+    column gets the same bits at any width.  An all -0.0 column sums to
+    -0.0, not 0.0.
+
+    At width >= 2 the order is written out as whole-row adds, with no copy:
+    below 8 terms in sequence; up to 128 terms into eight accumulators,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in
+    sequence; above 128, split at n // 2 rounded down to a multiple of 8 and
+    each half summed so.  At width 1 the column is one contiguous row
+    already (a copy only if it is strided), and numpy reduces it."""
+    if x.ndim == 1 or x.shape[-1] == 1:
+        return _sum(np.ascontiguousarray(x.T), axis=-1).T
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(x[:half]) + _row_sum(x[half:])
+    if n < 8:
+        total, tail = x[0] + x[1], x[2:]
+    else:
+        body = n - n % 8
+        if body == 8:  # the accumulators are rows 0-7 themselves
+            pairs = x[0:8:2] + x[1:8:2]
+        else:
+            acc = x[:8] + x[8:16]
+            for lo in range(16, body, 8):
+                acc += x[lo:lo + 8]
+            pairs = acc[0::2] + acc[1::2]
+        pairs[0::2] += pairs[1::2]
+        total, tail = pairs[0] + pairs[2], x[body:]
+    for row in tail:
+        total += row
+    return total
 
 
 # Mat-vecs per stopping test.  Measured on 8192-matrix batches of order

@@ -54,11 +54,9 @@ _ROW_METHODS = ("right-eigenvector", "left-eigenvector")
 
 def _rgm_rows(mats: np.ndarray) -> np.ndarray:
     """Unit-sum row geometric means, as (n, B) columns, of every matrix in
-    an (n, n, B) stack.  The logs are laid out as a C-contiguous (n, B, n)
-    stack, so each row's logs are summed in the order of `_row_sum` at
-    every batch size, with no second copy of the logs."""
-    logs = np.log(mats.transpose(0, 2, 1), order="C")
-    x = np.exp(np.add.reduce(logs, axis=2) / logs.shape[2])
+    an (n, n, B) stack.  The logs stay in the stack's layout, and `_row_sum`
+    adds each row's logs over the swapped first two axes."""
+    x = np.exp(_row_sum(np.log(mats).swapaxes(0, 1)) / len(mats))
     return x / _row_sum(x)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from pcmkit import (GeneratorConfig, PCMatrix, combined_eigenvector, eigen_system,
                     inverse_left_eigenvector, row_geometric_mean)
-from pcmkit import _power
+from pcmkit import _power, weighting
 from pcmkit._power import _CHECK_EVERY, power_iterate
 from pcmkit.consistency import SAATY_SCALE, _ri_chunk_sum
 from pcmkit.core import reciprocal_from_upper
@@ -186,27 +186,59 @@ def test_matrix_whose_two_solves_stop_apart_matches_the_batch(n):
         assert row_geometric_mean(m).priorities.tobytes() == rgm[:, k].tobytes()
 
 
+# Every order up to 139 (the eight-accumulator blocks and their tails, and the
+# width-1 pitfall orders 15, 23, 31, ...), then orders that split once or twice.
+_ROW_SUM_ORDERS = (*range(3, 140), 150, 199, 200, 256, 257, 300, 513)
+
+
+def _contiguous_row_sums(x):
+    """np.add.reduce over each column of x, copied to a contiguous row."""
+    return np.array([np.add.reduce(np.ascontiguousarray(x[(slice(None),) + col]))
+                     for col in np.ndindex(x.shape[1:])]).reshape(x.shape[1:])
+
+
 @pytest.mark.parametrize("tail", [(), (2,)], ids=["2-D", "3-D"])
 def test_row_sum_adds_each_column_as_one_contiguous_row(tail):
     """`_row_sum` gives every column the bits of np.add.reduce over that
-    column copied to a contiguous row, at every width (rule 3)."""
+    column copied to a contiguous row, at every width, on a strided view
+    and on a 1-D input (rule 3)."""
     rng = np.random.default_rng(16)
     elementwise_differs = False
-    for n in (*range(3, 41), 129, 257):
+    for n in _ROW_SUM_ORDERS:
         # Magnitudes spread over 1e-4..1e4, so that the order of the adds shows.
         x = np.exp(rng.uniform(-9.0, 9.0, (n, 2048) + tail))
         wide = _power._row_sum(x)
         assert wide.shape == (2048,) + tail
-        for width in (1, 2, 3, 2048):
+        assert wide.tobytes() == np.add.reduce(np.moveaxis(x, 0, -1).copy(), axis=-1).tobytes()
+        for width in (1, 2, 3):
             narrow = np.ascontiguousarray(x[:, :width])
             got = _power._row_sum(narrow)
             assert got.tobytes() == wide[:width].tobytes()
-            for col in np.ndindex(got.shape):
-                row = np.ascontiguousarray(narrow[(slice(None),) + col])
-                assert got[col].tobytes() == np.add.reduce(row).tobytes()
+            assert got.tobytes() == _contiguous_row_sums(narrow).tobytes()
+        column = x.reshape(n, -1)[:, 7]
+        assert _power._row_sum(column).tobytes() == np.add.reduce(column.copy()).tobytes()
+        # Each column's terms strided between the rows of a swapped view, as
+        # `_rgm_rows` passes its logs.
+        stack = np.exp(rng.uniform(-9.0, 9.0, (2, n, 3) + tail))
+        for width in (1, 3):
+            view = stack[:, :, :width].swapaxes(0, 1)
+            got = _power._row_sum(view)
+            assert got.tobytes() == _contiguous_row_sums(view).tobytes()
         elementwise_differs |= not np.array_equal(np.add.reduce(x, axis=0), wide)
     # The order is not the one a batch-last sum along axis 0 takes.
     assert elementwise_differs
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 257])
+def test_rgm_rows_sum_each_row_of_logs_as_one_contiguous_row(width):
+    """`_rgm_rows` gives the bits of summing each row's logs as one
+    C-contiguous row of an (n, B, n) log stack."""
+    rng = np.random.default_rng(17)
+    for n in (*range(3, 21), 40, 129):
+        mats = np.exp(rng.uniform(-9.0, 9.0, (n, n, width)))
+        logs = np.log(mats.transpose(0, 2, 1), order="C")
+        x = np.exp(np.add.reduce(logs, axis=2) / n)
+        assert weighting._rgm_rows(mats).tobytes() == (x / _power._row_sum(x)).tobytes()
 
 
 # (matrices, budget in entries at order n, piece widths): pieces of 150 that
