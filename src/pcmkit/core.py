@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._power import _max, _sum
 from .errors import (
     DimensionMismatchError,
     NonPositiveEntryError,
@@ -22,6 +23,11 @@ from .errors import (
     NonSquareError,
     ReciprocityViolationError,
 )
+
+# The ufunc reduction behind ndarray.all, called directly, as `_power` calls
+# the ones behind .sum and .max: on a small array the wrapper costs more
+# than the reduction, and the result is the same.
+_all = np.logical_and.reduce
 
 # Reciprocity residuals beyond this are rejected outright whatever the
 # policy: the input is then not a rounded reciprocal matrix but a
@@ -111,11 +117,11 @@ class PCMatrix:
             raise NonSquareError("a pairwise comparison matrix needs at least 2 alternatives")
         _check_positive(a)
         diag = np.diag(a)
-        if not (diag == 1.0).all():
+        if not _all(diag == 1.0):
             i = int(np.argmax(diag != 1.0))
             raise ReciprocityViolationError(i, i, diag[i] * diag[i] - 1.0)
         residual = np.abs(a * a.T - 1.0)
-        if residual.max() > MAX_RECIPROCITY_TOLERANCE:
+        if _max(residual, axis=None) > MAX_RECIPROCITY_TOLERANCE:
             i, j = np.unravel_index(int(np.argmax(residual)), residual.shape)
             raise ReciprocityViolationError(int(i), int(j), float(a[i, j] * a[j, i] - 1.0))
         object.__setattr__(self, "entries", _as_readonly(a))
@@ -138,7 +144,7 @@ class PCMatrix:
 def _require_positive(priorities: np.ndarray) -> None:
     """The check every WeightVector passes, on priorities of any shape:
     raises NonPositiveWeightError unless all are finite and above zero."""
-    if not (np.isfinite(priorities) & (priorities > 0.0)).all():
+    if not _all(np.isfinite(priorities) & (priorities > 0.0), axis=None):
         raise NonPositiveWeightError("all priorities must be strictly positive and finite")
 
 
@@ -160,9 +166,10 @@ class WeightVector:
             raise NonPositiveWeightError(f"expected a vector of >= 2 priorities, got shape {p.shape}")
         _require_positive(p)
         target = self.normalization.value
-        if abs(p.sum() - target) > 1e-9 * target:
+        total = _sum(p)
+        if abs(total - target) > 1e-9 * target:
             raise NonPositiveWeightError(
-                f"priorities sum to {p.sum()!r}, expected {target} within 1e-9 relative"
+                f"priorities sum to {total!r}, expected {target} within 1e-9 relative"
             )
         object.__setattr__(self, "priorities", _as_readonly(p))
 
@@ -186,7 +193,7 @@ class WeightVector:
 
 def _check_positive(a: np.ndarray) -> None:
     ok = np.isfinite(a) & (a > 0.0)
-    if not ok.all():
+    if not _all(ok, axis=None):
         i, j = np.unravel_index(int(np.argmax(~ok)), a.shape)
         raise NonPositiveEntryError(int(i), int(j), float(a[i, j]))
 
@@ -233,9 +240,9 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
     if policy.mode is ReciprocityMode.REPAIR_FROM_UPPER:
         iu, ju = _upper_indices(n)
         upper = a[iu, ju]
-        bad = ~(np.isfinite(upper) & (upper > 0.0))
-        if bad.any():
-            k = int(np.argmax(bad))
+        ok = np.isfinite(upper) & (upper > 0.0)
+        if not _all(ok):
+            k = int(np.argmax(~ok))
             raise NonPositiveEntryError(int(iu[k]), int(ju[k]), float(upper[k]))
         return PCMatrix(reciprocal_from_upper(upper, n))
 
@@ -243,7 +250,7 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
     # only the policy's tighter tolerance is left.
     checked = PCMatrix(a)
     worst = np.abs(a * a.T - 1.0)
-    if worst.max() > policy.tolerance:
+    if _max(worst, axis=None) > policy.tolerance:
         i, j = np.unravel_index(int(np.argmax(worst)), worst.shape)
         raise ReciprocityViolationError(int(i), int(j), float(a[i, j] * a[j, i] - 1.0))
     return checked
@@ -288,7 +295,8 @@ def normalize(raw, target: Normalization = Normalization.SUM_ONE,
 # ---------------------------------------------------------------------------
 # Matrix text format: first data line holds n, the next n lines hold n
 # whitespace-separated tokens each, every token a decimal or a fraction
-# "p/q".  Lines starting with '#' are comments.
+# "p/q".  Lines starting with '#' are comments; after the n rows only
+# comments and blank lines may follow.
 # ---------------------------------------------------------------------------
 
 def _parse_token(token: str, lineno: int) -> float:
@@ -304,13 +312,17 @@ def _parse_token(token: str, lineno: int) -> float:
 
 
 def _token_rows(text: str):
-    """Yield the n matrix rows of the text format as (line number, tokens)."""
+    """Yield the n matrix rows of the text format as (line number, tokens).
+    A data line after the n-th row raises ValueError once that row has
+    been taken."""
     n: int | None = None
     found = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        if found == n:
+            raise ValueError(f"line {lineno}: unexpected data after the {n} matrix rows")
         if n is None:
             try:
                 n = int(stripped)
@@ -324,17 +336,26 @@ def _token_rows(text: str):
             raise ValueError(f"line {lineno}: expected {n} entries, got {len(tokens)}")
         yield lineno, tokens
         found += 1
-        if found == n:
-            return
     if n is None:
         raise ValueError("empty matrix file")
-    raise ValueError(f"expected {n} matrix rows, found {found}")
+    if found < n:
+        raise ValueError(f"expected {n} matrix rows, found {found}")
+
+
+def _parse_row(tokens: list[str], lineno: int) -> list[float]:
+    """One row's entries.  A row of plain decimals is parsed in one call;
+    any other row token by token, which parses fractions exactly and names
+    the first token that fails."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        return [_parse_token(t, lineno) for t in tokens]
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse the text format into a raw entry array (no validation)."""
-    rows = [[_parse_token(t, lineno) for t in tokens] for lineno, tokens in _token_rows(text)]
-    return np.array(rows, dtype=float)
+    return np.array([_parse_row(tokens, lineno) for lineno, tokens in _token_rows(text)],
+                    dtype=float)
 
 
 def _printed_interval(token: str, lineno: int) -> tuple[Fraction, Fraction]:

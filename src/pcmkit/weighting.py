@@ -21,7 +21,7 @@ matrices with equal entries each solve their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,8 +87,11 @@ def _solved(matrix: PCMatrix) -> tuple:
     """
     if matrix._eigen is None:
         a = matrix.entries
-        w, lam, iters, resid, conv = power_iterate(np.array((a, a.T)).transpose(1, 2, 0), _TOL,
-                                                   _MAX_ITERATIONS)
+        # Built C-contiguous, so that the solver iterates it without a copy.
+        pair = np.empty(a.shape + (2,))
+        pair[:, :, 0] = a
+        pair[:, :, 1] = a.T
+        w, lam, iters, resid, conv = power_iterate(pair, _TOL, _MAX_ITERATIONS)
         *rows, agree = _vector_rows(a[:, :, None], w[:, :1], w[:, 1:], lam[:1], lam[1:], _TOL)
         pairs = [
             EigenResult(WeightVector(w[:, k], Normalization.SUM_ONE, _ROW_METHODS[k]),
@@ -137,7 +140,7 @@ def eigen_system(matrix: PCMatrix):
     reported everywhere (single source of truth for consistency indices).
     """
     right, left, _ = _checked(matrix)
-    return right, replace(left, lambda_max=right.lambda_max)
+    return right, EigenResult(left.weights, right.lambda_max, left.iterations, left.residual)
 
 
 def left_eigenvector(matrix: PCMatrix) -> EigenResult:
@@ -164,10 +167,14 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
     """Priorities proportional to the geometric mean of each row.
 
     Closed form, no iteration; this is the optimum of the logarithmic
-    least squares problem.
+    least squares problem.  A filled memo slot holds it already, from the
+    same `_rgm_rows` call on the same batch of one.
     """
-    return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0], Normalization.SUM_ONE,
-                        "row-geometric-mean")
+    if matrix._eigen is None:
+        rgm = _rgm_rows(matrix.entries[:, :, None])[:, 0]
+    else:
+        rgm = matrix._eigen[2][2]
+    return WeightVector(rgm, Normalization.SUM_ONE, "row-geometric-mean")
 
 
 def aggregate_matrices_geometric(matrices) -> PCMatrix:

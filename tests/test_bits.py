@@ -46,3 +46,18 @@ def test_csv_diff_names_changed_and_missing_files(tmp_path):
     (before / "gone.csv").write_bytes(b"x\n")
     (after / "manifest.txt").write_text("not a csv\n")
     assert bits.csv_diff(before, after) == ["changed.csv", "gone.csv"]
+
+
+def test_output_diff_shows_changed_lines_only():
+    before = "exit 0\ncr = 0.1\n--- stderr\n"
+    assert bits.output_diff(before, before) == []
+    assert bits.output_diff(before, before.replace("0.1", "0.10000000000000001")) == [
+        "-cr = 0.1", "+cr = 0.10000000000000001"]
+    assert bits.output_diff(before, "exit 2\n--- stderr\npcmkit: error: x\n") == [
+        "-exit 0", "+exit 2", "-cr = 0.1", "+pcmkit: error: x"]
+
+
+def test_single_runs_run_every_command_on_every_file():
+    assert bits.single_runs(["a.txt", "b.txt"]) == [
+        ["weights", "--method", "all", "a.txt"], ["consistency", "a.txt"], ["compare", "a.txt"],
+        ["weights", "--method", "all", "b.txt"], ["consistency", "b.txt"], ["compare", "b.txt"]]

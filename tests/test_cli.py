@@ -212,6 +212,16 @@ class TestCompareCommand:
 
 
 @pytest.mark.parametrize("command", ["weights", "consistency", "compare"])
+def test_extra_matrix_row_exits_2_naming_its_line(tmp_path, capsys, command):
+    path = tmp_path / "extra.txt"
+    path.write_text("3\n1 2 3\n0.5 1 2\n0.3333333333333333 0.5 1\n9 9 9\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pcmkit: error: line 5: unexpected data after the 3 matrix rows\n"
+
+
+@pytest.mark.parametrize("command", ["weights", "consistency", "compare"])
 def test_underflowing_perron_vector_exits_2_with_one_error_line(tmp_path, command):
     """Run as a user would, with numpy's warnings shown: the only line on
     stderr is the error."""

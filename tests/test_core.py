@@ -217,6 +217,20 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_matrix_text("3\n1 x 4\n0.5 1 2\n0.25 0.5 1\n")
 
+    @pytest.mark.parametrize("trailer,lineno", [("9 9 9\n", 5), ("# end\n\n1\n", 7),
+                                                ("\n  x\n", 6)])
+    @pytest.mark.parametrize("loader", [parse_matrix_text, reconcile_matrix_text])
+    def test_data_after_the_last_row_names_its_line(self, loader, trailer, lineno):
+        text = "3\n1 2 3\n0.5 1 2\n0.3333333333333333 0.5 1\n" + trailer
+        with pytest.raises(ValueError, match=f"^line {lineno}: unexpected data after "
+                                             "the 3 matrix rows$"):
+            loader(text)
+
+    @pytest.mark.parametrize("loader", [parse_matrix_text, reconcile_matrix_text])
+    def test_comments_and_blank_lines_after_the_last_row_are_ignored(self, loader):
+        rows = "3\n1 2 3\n1/2 1 2\n1/3 1/2 1\n"
+        assert np.array_equal(loader(rows + "\n# done\n   \n#\n")[:], loader(rows)[:])
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(17)
         m = random_reciprocal(5, rng)

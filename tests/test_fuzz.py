@@ -6,13 +6,14 @@ import contextlib
 import io
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcmkit import PCMatrix, PcmError, parse_matrix_text, reconcile_matrix_text, validate
 from pcmkit.cli import _parse_simulation_config, main
-from pcmkit.core import STRICT_FILE_POLICY
+from pcmkit.core import STRICT_FILE_POLICY, _token_rows
 from pcmkit.montecarlo import SimulationConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -94,7 +95,43 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _token_by_token(text: str) -> np.ndarray:
+    """The reference for `parse_matrix_text`, which parses a row in one
+    call: every token parsed on its own, a fraction through Fraction."""
+    from fractions import Fraction
+
+    def token(t, lineno):
+        try:
+            return float(Fraction(t)) if "/" in t else float(t)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"line {lineno}: cannot parse entry {t!r}") from exc
+
+    return np.array([[token(t, lineno) for t in tokens] for lineno, tokens in _token_rows(text)],
+                    dtype=float)
+
+
+def _row_text(*tokens: str) -> str:
+    """A 3x3 matrix text whose second row holds `tokens`."""
+    return "3\n1 2 3\n" + " ".join(tokens) + "\n1/3 1/2 1\n"
+
+
 class TestMatrixText:
+    @FUZZ
+    @given(st.one_of(matrix_texts(), reciprocal_texts()))
+    @example(_row_text("1_0", "1", "2"))
+    @example(_row_text("0.5", "½", "2"))
+    @example(_row_text("1/0", "1", "2"))
+    @example(_row_text("nan", "1", "2"))
+    @example(_row_text("1/2", "1", "x"))
+    @example(_row_text("1_0", "½", "1/0"))
+    def test_one_call_per_row_parses_as_token_by_token(self, text):
+        got, want = _outcome(parse_matrix_text, text), _outcome(_token_by_token, text)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:
+            assert type(got) is type(want) and str(got) == str(want)
+
     @FUZZ
     @given(st.one_of(matrix_texts(), reciprocal_texts()))
     def test_parse_then_validate(self, text):

@@ -299,3 +299,101 @@ def test_a_stack_within_the_budget_is_one_piece():
     assert _power._pieces(9, 1619) == [slice(0, 1618), slice(1618, 1619)]
     assert _power._pieces(200, 300) == [slice(0, 128), slice(128, 256), slice(256, 300)]
     assert _power._pieces(4, 0) == []
+
+
+@pytest.mark.parametrize("n", [3, 9, 15])
+@pytest.mark.parametrize("width", [2, 3, 257])
+def test_einsum_gives_the_bits_of_np_einsum(n, width):
+    rng = np.random.default_rng(18)
+    mats = np.exp(rng.uniform(-9.0, 9.0, (n, n, width)))
+    w = rng.uniform(0.01, 1.0, (n, width))
+    for matvec in _power._MATVEC:
+        out = np.empty((n, width))
+        _power._einsum(matvec, mats, w, out=out)
+        assert out.tobytes() == np.einsum(matvec, mats, w).tobytes()
+
+
+def _residual_at_every_check(mats, tol, max_iter, transpose=False):
+    """`power_iterate` with the check step that measures the eigenvalue and
+    the residual at every check, whether or not any matrix can stop there."""
+    n, _, batch = mats.shape
+    out = (np.full((n, batch), 1.0 / n), np.zeros(batch), np.zeros(batch, dtype=np.int64),
+           np.full(batch, np.inf), np.zeros(batch, dtype=bool))
+    matvec = _power._MATVEC[transpose]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for piece in _power._pieces(n, batch):
+            weights, lam_out, iter_out, resid_out, converged = (a[..., piece] for a in out)
+            idx = _power._two_or_more(np.arange(piece.stop - piece.start))
+            active = np.ascontiguousarray(np.take(mats[:, :, piece], idx, axis=2))
+            w = np.full((n, idx.size), 1.0 / n)
+            v = np.empty_like(w)
+            it = 0
+            while it < max_iter:
+                check = min(it + _CHECK_EVERY, max_iter)
+                for _ in range(check - it - 1):
+                    np.einsum(matvec, active, w, out=v)
+                    np.divide(v, v.sum(axis=0), out=w)
+                it = check
+                np.einsum(matvec, active, w, out=v)
+                lam = (v / w).sum(axis=0) / n
+                resid = np.max(np.abs(v - lam * w) / w, axis=0)
+                w_next = v / v.sum(axis=0)
+                change = np.max(np.abs(w_next - w) / w, axis=0)
+                done = (change <= tol) & (resid <= tol * lam)
+                stop = done if it < max_iter else np.ones_like(done)
+                if stop.any():
+                    hit = idx[stop]
+                    weights[:, hit] = w[:, stop]
+                    lam_out[hit], resid_out[hit] = lam[stop], resid[stop]
+                    iter_out[hit], converged[hit] = it, done[stop]
+                    cols = _power._two_or_more(np.flatnonzero(~stop))
+                    if not cols.size:
+                        break
+                    idx, active = idx[cols], np.take(active, cols, axis=2)
+                    w_next = np.take(w_next, cols, axis=1)
+                    v = np.empty_like(w_next)
+                w = w_next
+    return out
+
+
+_UNDERFLOWING = np.array([[1.0, 1e200, 1e300], [1e-200, 1.0, 1e250], [1e-300, 1e-250, 1.0]])
+
+
+@pytest.mark.parametrize("max_iter", [MAX_ITER, 12])
+class TestResidualOnlyWhereAMatrixCanStop:
+    """Skipping the eigenvalue and the residual at a check where no matrix's
+    change is within tol moves no stop, count or bit."""
+
+    def test_stacks_of_two(self, max_iter):
+        for n in range(3, 16):
+            for a in _pool(n=n, count=20).transpose(2, 0, 1):
+                pair = np.ascontiguousarray(np.stack((a, a.T), axis=2))
+                _assert_same_bits(power_iterate(pair, TOL, max_iter),
+                                  _residual_at_every_check(pair, TOL, max_iter))
+
+    @pytest.mark.parametrize("n", [4, 9])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["right", "transpose"])
+    def test_batches_of_2048(self, max_iter, n, transpose):
+        pool = _pool(n=n, count=2048)
+        _assert_same_bits(power_iterate(pool, TOL, max_iter, transpose),
+                          _residual_at_every_check(pool, TOL, max_iter, transpose))
+
+    def test_underflowing_matrix(self, max_iter):
+        pair = np.ascontiguousarray(np.stack((_UNDERFLOWING, _UNDERFLOWING.T), axis=2))
+        got = power_iterate(pair, TOL, max_iter)
+        assert not got[4].any()
+        # At 12 mat-vecs the residual is nan, which array_equal never matches.
+        for g, w in zip(got, _residual_at_every_check(pair, TOL, max_iter)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_row_geometric_mean_has_the_same_bits_before_and_after_the_memo():
+    for n in range(3, 16):
+        for entries in _pool(n=n, count=10).transpose(2, 0, 1):
+            m = PCMatrix(entries)
+            before = row_geometric_mean(m).priorities.tobytes()
+            assert m._eigen is None
+            eigen_system(m)
+            assert m._eigen is not None
+            assert row_geometric_mean(m).priorities.tobytes() == before
+            assert row_geometric_mean(PCMatrix(entries)).priorities.tobytes() == before

@@ -1,4 +1,4 @@
-"""Check that a change leaves every simulation output bit-identical.
+"""Check that a change leaves every simulation and single-matrix output bit-identical.
 
 Exports a commit (the parent of a change, by default HEAD) with
 `git archive` into a temporary directory, then runs
@@ -12,6 +12,12 @@ each CSV.  The grids are the `sim-grid` cells of perfbench (dims 4-9 x
 deltas 1, 2, 3, 2048 matrices each) and dims 3, 4, 5, 6, 9, 12, 15, 20, 40
 x deltas 0.5, 1, 2, 3, where orders 20 and 40 make batches of several
 power-iteration pieces.
+
+Then it runs `weights --method all`, `consistency` and `compare` on a set
+of matrix files in both trees, and every run's exit code, stdout and
+stderr must be the same.  The files are written once, by the export: the
+8 published matrices of `verify`, each as printed and as reconciled, and
+one `generate` matrix (delta 2) of each order 3-15.
 
     python3 tools/bits.py [--parent REV]
 
@@ -44,13 +50,18 @@ GRIDS = {
 _RI_ABOVE_15 = "20 1.6 0 0\n40 1.7 0 0\n"
 
 
+def output_diff(before: str, after: str) -> list[str]:
+    """The lines of a line diff between two outputs: '-line' for a line
+    only `before` has at that place, '+line' for one only `after` has."""
+    return [d[0] + d[2:] for d in difflib.ndiff(before.splitlines(), after.splitlines())
+            if d.startswith(("- ", "+ "))]
+
+
 def manifest_diff(before: str, after: str) -> list[str]:
-    """The lines of a line diff between two manifests, the timestamp
-    ignored: '-line' for a line only `before` has at that place, '+line'
-    for one only `after` has."""
-    old, new = ([ln for ln in text.splitlines() if not ln.startswith("timestamp_utc=")]
+    """`output_diff` of two manifests, the timestamp ignored."""
+    old, new = ("\n".join(ln for ln in text.splitlines() if not ln.startswith("timestamp_utc="))
                 for text in (before, after))
-    return [d[0] + d[2:] for d in difflib.ndiff(old, new) if d.startswith(("- ", "+ "))]
+    return output_diff(old, new)
 
 
 def csv_diff(before: Path, after: Path) -> list[str]:
@@ -61,11 +72,57 @@ def csv_diff(before: Path, after: Path) -> list[str]:
                     and (before / name).read_bytes() == (after / name).read_bytes())]
 
 
-def simulate(tree: Path, config: Path, out: Path, workers: int) -> None:
+# The single-matrix commands, each run on every matrix file.
+SINGLE = (("weights", "--method", "all"), ("consistency",), ("compare",))
+
+# Writes the `verify` matrices into the directory argv[1], as printed and
+# as reconciled.
+_WRITE_VERIFY = """
+import sys
+from pathlib import Path
+from pcmkit.core import format_matrix_text
+from pcmkit.verify import CASES
+for k, case in enumerate(CASES):
+    Path(sys.argv[1], f"verify_{k}_printed.txt").write_text(case.matrix_text)
+    Path(sys.argv[1], f"verify_{k}_reconciled.txt").write_text(
+        format_matrix_text(case.matrix, (case.name,)))
+"""
+
+
+def single_runs(files) -> list[list[str]]:
+    """The CLI arguments of every single-matrix run: each command of
+    SINGLE on each file, file by file."""
+    return [[*command, str(f)] for f in files for command in SINGLE]
+
+
+def pcmkit(tree: Path, args: list[str], **kwargs) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    subprocess.run([sys.executable, "-m", "pcmkit.cli", "simulate", str(config),
-                    "--out", str(out), "--workers", str(workers)],
-                   cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env, **kwargs)
+
+
+def simulate(tree: Path, config: Path, out: Path, workers: int) -> None:
+    pcmkit(tree, ["-m", "pcmkit.cli", "simulate", str(config), "--out", str(out),
+                  "--workers", str(workers)], check=True, stdout=subprocess.DEVNULL)
+
+
+def matrix_files(tree: Path, into: Path) -> list[Path]:
+    """Write the single-matrix inputs with the pcmkit of `tree`."""
+    into.mkdir()
+    pcmkit(tree, ["-c", _WRITE_VERIFY, str(into)], check=True)
+    files = sorted(into.glob("verify_*.txt"))
+    for n in range(3, 16):
+        out = into / f"generated_{n}"
+        pcmkit(tree, ["-m", "pcmkit.cli", "generate", "--n", str(n), "--delta", "2",
+                      "--seed", str(n), "--out-dir", str(out)],
+               check=True, stdout=subprocess.DEVNULL)
+        files.append(out / "matrix_0.txt")
+    return files
+
+
+def single_output(tree: Path, args: list[str]) -> str:
+    """Exit code, stdout and stderr of one CLI run in `tree`."""
+    proc = pcmkit(tree, ["-m", "pcmkit.cli", *args], capture_output=True, text=True)
+    return f"exit {proc.returncode}\n{proc.stdout}--- stderr\n{proc.stderr}"
 
 
 def main(argv=None) -> int:
@@ -97,6 +154,17 @@ def main(argv=None) -> int:
                       + ("identical to " + sha[:7] if not found else "DIFFERS"), flush=True)
                 for line in found:
                     print(f"  {line}")
+        files = matrix_files(trees["parent"], tmp / "matrices")
+        runs = single_runs(files)
+        found = []
+        for args in runs:
+            before, after = (single_output(tree, args) for tree in trees.values())
+            found += [f"{' '.join(args)}: {line}" for line in output_diff(before, after)]
+        differences += len(found)
+        print(f"single-matrix, {len(runs)} runs on {len(files)} files: "
+              + ("identical to " + sha[:7] if not found else "DIFFERS"), flush=True)
+        for line in found:
+            print(f"  {line}")
     return 1 if differences else 0
 
 
