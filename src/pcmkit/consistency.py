@@ -196,21 +196,34 @@ def consistency_ratio(matrix: PCMatrix, ri_table: RiTable | None = None) -> Cons
 
 
 def _ri_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -> float:
-    """CI sum of one chunk of random matrices.  Their upper triangles are
-    drawn whole, as (count, pairs) rows; the matrices are built and solved
-    in the pieces of `_pieces`, and the CI is summed once over the chunk."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-    size = (count, n * (n - 1) // 2)
-    if scale == "saaty":
-        upper = SAATY_SCALE[rng.integers(0, len(SAATY_SCALE), size=size)].T
-    elif scale == "log-uniform":
-        upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=size)).T
-    else:
+    """CI sum of one chunk of random matrices, built and solved in the
+    pieces of `_pieces`; the CI is summed once over the chunk.  Each piece's
+    upper triangles are drawn as it is built, as (piece, pairs) rows: drawn
+    block by block, the rows get the values of one whole-chunk draw.  The
+    draw's values and the piece's stack are written into two buffers that
+    every piece of the chunk reuses, so no chunk-sized array is made."""
+    if scale not in ("saaty", "log-uniform"):
         raise ValueError(f"unknown scale {scale!r}; expected 'saaty' or 'log-uniform'")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+    pairs = n * (n - 1) // 2
+    pieces = _pieces(n, count)
+    width = pieces[0].stop  # the first piece is the widest
+    # Flat, so that the leading part of each is a C-contiguous block of any width.
+    upper_buf, mats_buf = np.empty(width * pairs), np.empty(width * n * n)
     lam = np.empty(count)
-    for piece in _pieces(n, count):
-        _, lam[piece], iters, resid, conv = power_iterate(
-            reciprocal_from_upper(upper[:, piece], n), _RI_SOLVER_TOL, _RI_SOLVER_MAX_ITER)
+    for piece in pieces:
+        m = piece.stop - piece.start
+        upper = upper_buf[:m * pairs].reshape(m, pairs)
+        if scale == "saaty":
+            # Every index is in range, and "clip" writes straight into `upper`.
+            np.take(SAATY_SCALE, rng.integers(0, len(SAATY_SCALE), size=(m, pairs)),
+                    out=upper, mode="clip")
+        else:
+            # exp in the layout drawn, C-contiguous, as a whole-chunk draw ran it.
+            np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(m, pairs)), out=upper)
+        mats = reciprocal_from_upper(upper.T, n, out=mats_buf[:m * n * n].reshape(n, n, m))
+        _, lam[piece], iters, resid, conv = power_iterate(mats, _RI_SOLVER_TOL,
+                                                          _RI_SOLVER_MAX_ITER)
         if not conv.all():
             k = int(np.argmax(~conv))
             raise NoConvergenceError(int(iters[k]), float(resid[k]),
@@ -232,19 +245,23 @@ def _chunk_sizes(total: int, size: int) -> list[int]:
 
 def _ordered_map(task, args: list[tuple], workers: int) -> Iterator:
     """Yields task(*a) for a in args, in that order, each as soon as it and
-    the ones before it are done, on a pool of `workers` processes when there
-    is more than one.  The worker count is checked here, before any task runs."""
+    the ones before it are done.  At most one process runs per task: with
+    two or more tasks and workers, on a pool of min(workers, len(args))
+    processes; otherwise in the calling process.  The worker count is
+    checked here, before any task runs."""
     _check_run(workers)
-    if workers == 1:
+    workers = min(workers, len(args))
+    if workers <= 1:
         return (task(*a) for a in args)
     return _pool_map(task, args, workers)
 
 
 def _pool_map(task, args: list[tuple], workers: int) -> Iterator:
-    """The pool lives as long as the stream: it shuts down once the last
-    result is drawn or the stream is closed."""
-    # Imported here: the pool pulls in multiprocessing, which a one-worker
-    # run never needs.
+    """`_ordered_map` on a pool of `workers` processes, which lives as long
+    as the stream: it shuts down once the last result is drawn or the
+    stream is closed."""
+    # Imported here: the pool pulls in multiprocessing, which a run in the
+    # calling process never needs.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -281,8 +298,8 @@ def build_ri_table(orders, samples: int, base_seed: int, *,
                    scale: str = "saaty", workers: int = 1) -> RiTable:
     """Estimate RI for several orders; order n uses seed base_seed + n.
 
-    Every order's chunks go through one stream, so one pool serves the
-    whole table, and each order's value is the one `estimate_random_index`
+    Every order's chunks go through one stream, so at most one pool serves
+    the whole table, and each order's value is the one `estimate_random_index`
     gives: its chunk sums added in chunk order."""
     _check_run(workers, base_seed)
     orders = sorted(set(int(x) for x in orders))

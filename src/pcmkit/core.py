@@ -206,14 +206,17 @@ def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def reciprocal_from_upper(upper, n: int) -> np.ndarray:
+def reciprocal_from_upper(upper, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """(n, n, ...) matrices from their upper-triangle entries, given in
     row-major order along the first axis: each lower entry is the reciprocal
     of its mirror and the diagonal is one.  A stack is batch-last, the
-    layout of `power_iterate`."""
+    layout of `power_iterate`.  With `out`, every entry of that array is
+    written and it is returned."""
     upper = np.asarray(upper, dtype=float)
     iu, ju = _upper_indices(n)
-    mats = np.ones((n, n) + upper.shape[1:])
+    mats = np.empty((n, n) + upper.shape[1:]) if out is None else out
+    diag = np.arange(n)
+    mats[diag, diag] = 1.0
     mats[iu, ju] = upper
     mats[ju, iu] = 1.0 / upper
     return mats

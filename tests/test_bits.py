@@ -61,3 +61,21 @@ def test_single_runs_run_every_command_on_every_file():
     assert bits.single_runs(["a.txt", "b.txt"]) == [
         ["weights", "--method", "all", "a.txt"], ["consistency", "a.txt"], ["compare", "a.txt"],
         ["weights", "--method", "all", "b.txt"], ["consistency", "b.txt"], ["compare", "b.txt"]]
+
+
+def test_ri_runs_cover_every_order_chunking_scale_and_worker_count():
+    runs = bits.ri_runs()
+    assert len(runs) == len(set(runs)) == 13 * 2 * 2 * 2 + 2
+    assert {run[1:] for run in runs if run[0] == 3} == {
+        (samples, scale, workers) for samples in (4000, 45_000)
+        for scale in ("saaty", "log-uniform") for workers in (1, 2)}
+    assert {n for n, *_ in runs} == set(range(3, 16)) | {60}
+    assert sorted(r for r in runs if r[0] == 60) == [(60, 1000, "log-uniform", 1),
+                                                     (60, 1000, "saaty", 1)]
+
+
+def test_report_prints_the_verdict_and_counts_differences(capsys):
+    assert bits.report("wide, 2 worker(s)", [], "1b293fb1e3") == 0
+    assert bits.report("random index", ["-3 a", "+3 b"], "1b293fb1e3") == 2
+    assert capsys.readouterr().out == ("wide, 2 worker(s): identical to 1b293fb\n"
+                                       "random index: DIFFERS\n  -3 a\n  +3 b\n")

@@ -667,15 +667,18 @@ class TestRiEstimateCommand:
         assert captured.err == f"pcmkit: error: seed must be non-negative, got {seed}\n"
 
     def test_peak_memory_is_bounded_at_a_large_order(self):
-        """Order 60 draws 1000 upper triangles (1770 entries each, as int64
-        indices and as floats: one 28.8 MB stack's worth) and solves them in
-        pieces of 128 matrices.  Unsplit, the chunk's stack, its reciprocal
-        and the compacted copies added about 50 MB above an order-3 run; in
-        pieces the growth must stay under 1.5 stacks (43 MB)."""
-        stack_mb = 60 * 60 * 1000 * 8 / 2**20
-        base, large = (_peak_rss_mb(["ri-estimate", "--orders", n, "--samples", "1000",
-                                     "--workers", "1"]) for n in ("3", "60"))
-        assert large - base < 1.5 * stack_mb, (base, large)
+        """An RI chunk is drawn, built and solved piece by piece, in pieces
+        of 128 matrices at these orders, and each piece's draw and stack go
+        into two buffers the chunk reuses.  The peak above an order-3 run
+        must stay under half of one whole chunk's stack: 13.7 MiB at order
+        60 and 153 MiB at 200.  Drawn whole, the chunk's upper triangles (as
+        int64 indices and as floats) put 26 and 303 MiB there; per piece, 7
+        and 78 MiB."""
+        base, *large = (_peak_rss_mb(["ri-estimate", "--orders", str(n), "--samples", "1000",
+                                      "--workers", "1"]) for n in (3, 60, 200))
+        for order, peak in zip((60, 200), large):
+            stack_mb = order * order * 1000 * 8 / 2**20
+            assert peak - base < 0.5 * stack_mb, (order, base, peak)
 
 
 def _peak_rss_mb(argv: list[str]) -> float:

@@ -17,6 +17,11 @@ from pcmkit import (
     validate,
 )
 
+from pcmkit._power import _pieces, power_iterate
+from pcmkit.consistency import (SAATY_SCALE, _RI_SOLVER_MAX_ITER, _RI_SOLVER_TOL,
+                                 _ri_chunk_sum)
+from pcmkit.core import reciprocal_from_upper
+
 from conftest import random_reciprocal
 
 
@@ -104,6 +109,56 @@ class TestRandomIndexEstimation:
         with pytest.raises(ValueError) as info:
             build_ri_table([3, 4], 1000, -1)
         assert str(info.value) == "seed must be non-negative, got -1"
+
+
+def _draw(rng, scale: str, size: tuple[int, int]) -> np.ndarray:
+    """One draw of RI upper triangles, as `_ri_chunk_sum` makes it."""
+    if scale == "saaty":
+        return rng.integers(0, len(SAATY_SCALE), size=size)
+    return rng.uniform(-np.log(9.0), np.log(9.0), size=size)
+
+
+def _whole_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -> float:
+    """`_ri_chunk_sum` with the chunk's upper triangles drawn and mapped in
+    one call, and its stack built whole: the reference for the per-piece
+    draws into reused buffers."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+    drawn = _draw(rng, scale, (count, n * (n - 1) // 2))
+    upper = (SAATY_SCALE[drawn] if scale == "saaty" else np.exp(drawn)).T
+    lam = np.empty(count)
+    for piece in _pieces(n, count):
+        lam[piece] = power_iterate(reciprocal_from_upper(upper[:, piece], n), _RI_SOLVER_TOL,
+                                   _RI_SOLVER_MAX_ITER)[1]
+    return float(((lam - n) / (n - 1)).sum())
+
+
+# Orders and chunk sizes of the split-draw test.  Whole draws above 20 M
+# values (n = 60 at 20,000 samples, n = 200 at 4,000 and 20,000: 283 MB to
+# 3.2 GB as int64) are left out, to keep the suite's memory small; they
+# split at the same block sizes as n = 200 at 1,000.
+_SPLIT_CASES = [(n, count) for n in (3, 15, 60, 200) for count in (1000, 4000, 20_000)
+                if count * n * (n - 1) // 2 <= 20_000_000]
+
+
+class TestPerPieceDraws:
+    @pytest.mark.parametrize("scale", ["saaty", "log-uniform"])
+    @pytest.mark.parametrize("n, count", _SPLIT_CASES)
+    def test_row_blocks_draw_the_values_of_one_call(self, n, count, scale):
+        """The property the per-piece draws rest on, which numpy does not
+        document: drawn in the row blocks of `_pieces`, the short last one
+        included, the rows equal those of one whole call."""
+        pairs = n * (n - 1) // 2
+        whole = _draw(np.random.default_rng(count + n), scale, (count, pairs))
+        rng = np.random.default_rng(count + n)
+        for piece in _pieces(n, count):
+            block = _draw(rng, scale, (piece.stop - piece.start, pairs))
+            assert block.tobytes() == whole[piece].tobytes(), (n, count, scale, piece)
+
+    @pytest.mark.parametrize("scale", ["saaty", "log-uniform"])
+    @pytest.mark.parametrize("n, count", [(3, 1000), (9, 4000), (15, 4000), (15, 1), (60, 1000)])
+    def test_chunk_sum_equals_whole_chunk_draws(self, n, count, scale):
+        got = _ri_chunk_sum(n, count, 31, 2, scale)
+        assert got.hex() == _whole_chunk_sum(n, count, 31, 2, scale).hex()
 
 
 class TestConsistencyRatio:

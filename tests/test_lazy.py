@@ -118,24 +118,30 @@ class TestColdImport:
             exec(f"from pcmkit import {name}", {})
 
 
+@pytest.fixture()
+def pools(monkeypatch) -> list[dict]:
+    """The keyword arguments of every process pool started while it lives."""
+    import concurrent.futures
+
+    started: list[dict] = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
 class TestDeferredImportsChangeNothing:
     # A 2-worker simulate through the CLI, which imports the pool when it
     # starts one, is compared with 1 and 8 workers by acceptance criterion 09.
 
-    def test_ri_table_runs_one_pool_and_keeps_every_value(self, monkeypatch):
-        import concurrent.futures
-
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    def test_ri_table_runs_one_pool_and_keeps_every_value(self, pools):
         # 45,000 samples are three chunks per order.
         table = build_ri_table([5, 3, 4], 45_000, 17, workers=2)
-        assert len(pools) == 1
+        assert pools == [{"max_workers": 2}]
         assert table.orders == (3, 4, 5)
         for n in table.orders:
             assert table.ri(n) == estimate_random_index(n, 45_000, 17 + n)
@@ -148,6 +154,44 @@ class TestDeferredImportsChangeNothing:
     def test_ri_table_keeps_argument_messages(self, orders, samples, message):
         with pytest.raises(ValueError, match=message):
             build_ri_table(orders, samples, 1, workers=2)
+
+
+def _simulation(tasks: int, workers: int):
+    """A one-cell simulation of `tasks` batches, the last one of 50 matrices."""
+    from pcmkit.montecarlo import _BATCH, SimulationConfig, run_simulation
+
+    config = SimulationConfig(dims=(4,), deltas=(1.0,),
+                              matrices_per_cell=_BATCH * (tasks - 1) + 50, seed=5)
+    return run_simulation(config, workers=workers)
+
+
+class TestFanOutSize:
+    """No more processes start than there are tasks, and one task runs in
+    the calling process."""
+
+    def test_a_one_chunk_estimate_starts_no_pool(self, pools):
+        assert estimate_random_index(6, 4000, 9, workers=2) == estimate_random_index(6, 4000, 9)
+        assert pools == []
+
+    def test_a_one_task_simulation_starts_no_pool(self, pools):
+        wide, serial = _simulation(1, 8), _simulation(1, 1)
+        assert pools == []
+        assert wide.cell_tables[(4, 1.0)].tobytes() == serial.cell_tables[(4, 1.0)].tobytes()
+
+    def test_three_tasks_start_three_workers(self, pools):
+        wide, serial = _simulation(3, 8), _simulation(3, 1)
+        assert pools == [{"max_workers": 3}]
+        assert wide.cell_tables[(4, 1.0)].tobytes() == serial.cell_tables[(4, 1.0)].tobytes()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("tasks", [0, 1, 3])
+    def test_a_worker_count_below_one_is_rejected_before_any_task(self, pools, workers, tasks):
+        from pcmkit.consistency import _ordered_map
+
+        ran = []
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            _ordered_map(ran.append, [(k,) for k in range(tasks)], workers)
+        assert ran == [] and pools == []
 
 
 class TestIdentityEquality:

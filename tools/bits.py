@@ -19,6 +19,12 @@ stderr must be the same.  The files are written once, by the export: the
 8 published matrices of `verify`, each as printed and as reconciled, and
 one `generate` matrix (delta 2) of each order 3-15.
 
+Last, it prints `float.hex` of `estimate_random_index` in both trees, for
+orders 3-15 at 4,000 samples (one chunk) and 45,000 (three, the last one
+short), on both scales and at 1 and 2 workers, and for order 60 at 1,000
+samples (eight pieces of one chunk), and the two listings must be the
+same.  The shipped-table re-derivation compares only 12 printed digits.
+
     python3 tools/bits.py [--parent REV]
 
 Prints one line per run and every difference; exits 1 on any difference.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
@@ -89,6 +96,24 @@ for k, case in enumerate(CASES):
 """
 
 
+# Prints "n samples scale workers hex" for every RI run given in argv[1].
+_RI_HEX = """
+import json, sys
+from pcmkit.consistency import estimate_random_index
+for n, samples, scale, workers in json.loads(sys.argv[1]):
+    ri = estimate_random_index(n, samples, n, scale=scale, workers=workers)
+    print(n, samples, scale, workers, ri.hex())
+"""
+
+
+def ri_runs() -> list[tuple[int, int, str, int]]:
+    """(order, samples, scale, workers) of every RI estimate compared."""
+    return [(n, samples, scale, workers)
+            for samples in (4000, 45_000) for scale in ("saaty", "log-uniform")
+            for workers in (1, 2) for n in range(3, 16)
+            ] + [(60, 1000, scale, 1) for scale in ("saaty", "log-uniform")]
+
+
 def single_runs(files) -> list[list[str]]:
     """The CLI arguments of every single-matrix run: each command of
     SINGLE on each file, file by file."""
@@ -125,6 +150,14 @@ def single_output(tree: Path, args: list[str]) -> str:
     return f"exit {proc.returncode}\n{proc.stdout}--- stderr\n{proc.stderr}"
 
 
+def report(what: str, found: list[str], sha: str) -> int:
+    """Print one run's verdict and its differences; return how many there are."""
+    print(f"{what}: " + ("identical to " + sha[:7] if not found else "DIFFERS"), flush=True)
+    for line in found:
+        print(f"  {line}")
+    return len(found)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
@@ -149,22 +182,21 @@ def main(argv=None) -> int:
                 found = csv_diff(outs["parent"], outs["tree"]) + manifest_diff(
                     (outs["parent"] / "manifest.txt").read_text(),
                     (outs["tree"] / "manifest.txt").read_text())
-                differences += len(found)
-                print(f"{grid}, {workers} worker(s): "
-                      + ("identical to " + sha[:7] if not found else "DIFFERS"), flush=True)
-                for line in found:
-                    print(f"  {line}")
+                differences += report(f"{grid}, {workers} worker(s)", found, sha)
         files = matrix_files(trees["parent"], tmp / "matrices")
         runs = single_runs(files)
         found = []
         for args in runs:
             before, after = (single_output(tree, args) for tree in trees.values())
             found += [f"{' '.join(args)}: {line}" for line in output_diff(before, after)]
-        differences += len(found)
-        print(f"single-matrix, {len(runs)} runs on {len(files)} files: "
-              + ("identical to " + sha[:7] if not found else "DIFFERS"), flush=True)
-        for line in found:
-            print(f"  {line}")
+        differences += report(f"single-matrix, {len(runs)} runs on {len(files)} files", found,
+                              sha)
+        estimates = ri_runs()
+        before, after = (pcmkit(tree, ["-c", _RI_HEX, json.dumps(estimates)], check=True,
+                                capture_output=True, text=True).stdout
+                         for tree in trees.values())
+        differences += report(f"random index, {len(estimates)} estimates",
+                              output_diff(before, after), sha)
     return 1 if differences else 0
 
 
