@@ -14,9 +14,9 @@ frozen at its own stopping point.
 Layout.  A stack is stored batch-last, as a C-contiguous (n, n, B) array,
 and an iterate as (n, B).  A mat-vec is one einsum over rows of length B,
 and every sum over n runs along axis 0, so each matrix's arithmetic is a
-sequence of elementwise operations along the batch axis.  The transpose is
-solved on the same array by swapping the einsum's first two subscripts,
-which gives the bits a contiguous copy of the transposed stack would.
+sequence of elementwise operations along the batch axis.  A left vector is
+the right vector of the transposed stack `mats.swapaxes(0, 1)`, which rule
+2 copies C-contiguous: both vectors run one einsum on the same layout.
 
 Per-matrix results do not depend on what else shares the batch, on three
 conditions that this module keeps:
@@ -91,9 +91,8 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 # 4-15: 8 beat 4, and the stop rounds up by at most 7 mat-vecs.
 _CHECK_EVERY = 8
 
-# Mat-vec of every matrix in an (n, n, B) stack with an (n, B) iterate,
-# and of every transposed matrix.
-_MATVEC = ("ijb,jb->ib", "jib,jb->ib")
+# Mat-vec of every matrix in an (n, n, B) stack with an (n, B) iterate.
+_MATVEC = "ijb,jb->ib"
 
 # numpy's C einsum, which np.einsum calls with the same arguments when it
 # is not asked to optimize.  On the (9, 9, 2) stack one matrix of order 9
@@ -123,9 +122,8 @@ def _pieces(n: int, batch: int) -> list[slice]:
     return [slice(lo, min(lo + size, batch)) for lo in range(0, batch, size)]
 
 
-def power_iterate(mats: np.ndarray, tol: float, max_iter: int, transpose: bool = False):
-    """Dominant eigenpair of every matrix in an (n, n, B) stack, or of
-    every transposed matrix when `transpose` is set.
+def power_iterate(mats: np.ndarray, tol: float, max_iter: int):
+    """Dominant eigenpair of every matrix in an (n, n, B) stack.
 
     At steps _CHECK_EVERY, 2 * _CHECK_EVERY, ... and at step max_iter a
     matrix stops once both the componentwise relative change of its
@@ -146,12 +144,11 @@ def power_iterate(mats: np.ndarray, tol: float, max_iter: int, transpose: bool =
            np.full(batch, np.inf), np.zeros(batch, dtype=bool))
     with np.errstate(divide="ignore", invalid="ignore"):
         for piece in _pieces(n, batch):
-            _iterate(mats[:, :, piece], tol, max_iter, _MATVEC[bool(transpose)],
-                     *(a[..., piece] for a in out))
+            _iterate(mats[:, :, piece], tol, max_iter, *(a[..., piece] for a in out))
     return out
 
 
-def _iterate(mats, tol, max_iter, matvec, weights, lam_out, iter_out, resid_out, converged):
+def _iterate(mats, tol, max_iter, weights, lam_out, iter_out, resid_out, converged):
     """Solve one piece of `power_iterate` into its columns of the results."""
     n, _, batch = mats.shape
     # Column k of the stack solves matrix idx[k].  A contiguous piece of two
@@ -166,11 +163,11 @@ def _iterate(mats, tol, max_iter, matvec, weights, lam_out, iter_out, resid_out,
         # Between checks the iterate is updated in place: on a narrow stack
         # allocating the arrays costs as much as the arithmetic.
         for _ in range(check - it - 1):
-            _einsum(matvec, active, w, out=v)
+            _einsum(_MATVEC, active, w, out=v)
             np.divide(v, _sum(v, axis=0), out=w)
         it = check
 
-        _einsum(matvec, active, w, out=v)
+        _einsum(_MATVEC, active, w, out=v)
         w_next = v / _sum(v, axis=0)
         change = _max(np.abs(w_next - w) / w, axis=0)
         close = change <= tol

@@ -25,6 +25,7 @@ from .consistency import (
     default_ri_table,
 )
 from .core import (
+    DEFAULT_FILE_TOLERANCE,
     Normalization,
     PCMatrix,
     ReciprocityMode,
@@ -78,7 +79,7 @@ def _workers(args) -> int:
 
 
 def _policy_from_args(args) -> ReciprocityPolicy:
-    tolerance = args.tolerance if args.tolerance is not None else 1e-3
+    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_FILE_TOLERANCE
     mode = ReciprocityMode.REPAIR_FROM_UPPER if args.repair else ReciprocityMode.STRICT
     return ReciprocityPolicy(mode=mode, tolerance=tolerance)
 

@@ -42,7 +42,6 @@ _RI_SOLVER_TOL = 1e-10
 _RI_SOLVER_MAX_ITER = 100_000
 
 DEFAULT_RI_SEED = 271828
-DEFAULT_RI_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,9 @@ class RiTable:
             if not (math.isfinite(ri) and ri > 0.0):
                 raise ValueError(f"random index for order {n} must be finite and positive, "
                                  f"got {ri}")
+        if self.values.keys() != self.provenance.keys():
+            raise ValueError(f"orders of values {sorted(self.values)} and of provenance "
+                             f"{sorted(self.provenance)} differ")
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
 

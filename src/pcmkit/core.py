@@ -76,9 +76,6 @@ class ReciprocityPolicy:
 
 STRICT_API_POLICY = ReciprocityPolicy()
 STRICT_FILE_POLICY = ReciprocityPolicy(tolerance=DEFAULT_FILE_TOLERANCE)
-REPAIR_POLICY = ReciprocityPolicy(
-    mode=ReciprocityMode.REPAIR_FROM_UPPER, tolerance=DEFAULT_FILE_TOLERANCE
-)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -148,6 +145,14 @@ def _require_positive(priorities: np.ndarray) -> None:
         raise NonPositiveWeightError("all priorities must be strictly positive and finite")
 
 
+def _require_vector(p: np.ndarray, what: str) -> None:
+    """The checks every WeightVector passes: one dimension, >= 2 entries, all
+    finite and positive, or NonPositiveWeightError naming the entries `what`."""
+    if p.ndim != 1 or p.size < 2:
+        raise NonPositiveWeightError(f"expected a vector of >= 2 {what}, got shape {p.shape}")
+    _require_positive(p)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """Normalized priority vector with optional provenance tag.
@@ -162,9 +167,7 @@ class WeightVector:
 
     def __post_init__(self):
         p = np.asarray(self.priorities, dtype=float)
-        if p.ndim != 1 or p.size < 2:
-            raise NonPositiveWeightError(f"expected a vector of >= 2 priorities, got shape {p.shape}")
-        _require_positive(p)
+        _require_vector(p, "priorities")
         target = self.normalization.value
         total = _sum(p)
         if abs(total - target) > 1e-9 * target:
@@ -262,10 +265,7 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
 def consistent_from_weights(weights) -> PCMatrix:
     """Build the consistent matrix of ratios w_i / w_j."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size < 2:
-        raise NonPositiveWeightError(f"expected a vector of >= 2 weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w) & (w > 0.0)):
-        raise NonPositiveWeightError("all generating weights must be strictly positive")
+    _require_vector(w, "weights")
     a = w[:, None] / w[None, :]
     np.fill_diagonal(a, 1.0)
     return PCMatrix(a)
@@ -288,10 +288,7 @@ def normalize(raw, target: Normalization = Normalization.SUM_ONE,
               method: str | None = None) -> WeightVector:
     """Scale positive components so they sum to the target total."""
     p = np.asarray(raw, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise NonPositiveWeightError(f"expected a vector of >= 2 components, got shape {p.shape}")
-    if not np.all(np.isfinite(p) & (p > 0.0)):
-        raise NonPositiveWeightError("all components must be strictly positive and finite")
+    _require_vector(p, "components")
     return WeightVector(p * (target.value / p.sum()), target, method)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._power import _max, _row_sum, _sum
 from .consistency import RiTable, _ci_cr, default_ri_table
-from .core import PCMatrix, WeightVector, _require_positive, _upper_indices
+from .core import PCMatrix, WeightVector, _require_positive, _require_vector, _upper_indices
 from .errors import DimensionMismatchError
 from .weighting import _checked, eigen_system
 
@@ -26,9 +26,11 @@ PAIRS = ("inverse_left", "combined", "row_geometric_mean")
 
 
 def _unit(x) -> np.ndarray:
+    """`x` at unit sum.  A raw vector must pass the WeightVector checks."""
     if isinstance(x, WeightVector):
         return x.unit()
     a = np.asarray(x, dtype=float)
+    _require_vector(a, "entries")
     return a / _row_sum(a)
 
 

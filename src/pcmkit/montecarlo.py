@@ -325,8 +325,8 @@ def batch_vectors(mats: np.ndarray):
     converged and agree on the eigenvalue.
     """
     wr, lam_r, _, _, conv_r = power_iterate(mats, _TOL, _MAX_ITERATIONS)
-    wl, lam_l, _, _, conv_l = power_iterate(mats, _TOL, _MAX_ITERATIONS, transpose=True)
-    inv, combined, rgm, agree = _vector_rows(mats, wr, wl, lam_r, lam_l, _TOL)
+    wl, lam_l, _, _, conv_l = power_iterate(mats.swapaxes(0, 1), _TOL, _MAX_ITERATIONS)
+    inv, combined, rgm, agree = _vector_rows(mats, wr, wl, lam_r, lam_l)
     return wr, inv, combined, rgm, lam_r, conv_r & conv_l & agree
 
 

@@ -380,13 +380,12 @@ class VerificationReport:
         return tuple(o for o in self.outcomes if not o.passed)
 
 
-def run_verification(ri_table: RiTable | None = None,
-                     cases: tuple[VerifyCase, ...] = CASES) -> VerificationReport:
+def run_verification(ri_table: RiTable | None = None) -> VerificationReport:
     """Evaluate every embedded case; all quantities carry explicit tolerances."""
     table = ri_table if ri_table is not None else default_ri_table()
     started = time.perf_counter()
     outcomes = []
-    for case in cases:
+    for case in CASES:
         ctx = _CaseContext(case.matrix, table)
         for check in case.checks:
             outcomes.append(CheckOutcome(case.name, *check.evaluate(ctx)))

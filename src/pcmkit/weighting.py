@@ -61,11 +61,11 @@ def _rgm_rows(mats: np.ndarray) -> np.ndarray:
 
 
 def _vector_rows(mats: np.ndarray, right: np.ndarray, left: np.ndarray,
-                 lam_right: np.ndarray, lam_left: np.ndarray, tol: float):
+                 lam_right: np.ndarray, lam_left: np.ndarray):
     """Inverse-left, combined and row-geometric-mean vectors of an (n, n, B)
     stack from its (n, B) right and left vectors and eigenvalues, and whether
     each matrix's two eigenvalues agree.  Underflow gives no numpy warning."""
-    agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * len(mats) * tol) * lam_right
+    agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * len(mats) * _TOL) * lam_right
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse_left = 1.0 / left
         inverse_left /= _row_sum(inverse_left)
@@ -92,7 +92,7 @@ def _solved(matrix: PCMatrix) -> tuple:
         pair[:, :, 0] = a
         pair[:, :, 1] = a.T
         w, lam, iters, resid, conv = power_iterate(pair, _TOL, _MAX_ITERATIONS)
-        *rows, agree = _vector_rows(a[:, :, None], w[:, :1], w[:, 1:], lam[:1], lam[1:], _TOL)
+        *rows, agree = _vector_rows(a[:, :, None], w[:, :1], w[:, 1:], lam[:1], lam[1:])
         pairs = [
             EigenResult(WeightVector(w[:, k], Normalization.SUM_ONE, _ROW_METHODS[k]),
                         float(lam[k]), int(iters[k]), float(resid[k]))

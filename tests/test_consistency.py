@@ -19,7 +19,7 @@ from pcmkit import (
 
 from pcmkit._power import _pieces, power_iterate
 from pcmkit.consistency import (SAATY_SCALE, _RI_SOLVER_MAX_ITER, _RI_SOLVER_TOL,
-                                 _ri_chunk_sum)
+                                 RiProvenance, _ri_chunk_sum)
 from pcmkit.core import reciprocal_from_upper
 
 from conftest import random_reciprocal
@@ -259,6 +259,14 @@ class TestRiTableIO:
     def test_rejects_values_not_finite_and_positive(self, ri):
         with pytest.raises(ValueError, match="order 5"):
             RiTable.supplied({4: 0.9, 5: ri})
+
+    @pytest.mark.parametrize("provenance", [{3: "supplied"}, {3: "supplied", 5: "supplied"}],
+                             ids=["missing", "other"])
+    def test_rejects_values_and_provenance_of_other_orders(self, provenance):
+        with pytest.raises(ValueError) as info:
+            RiTable({3: 0.5, 4: 0.9}, {n: RiProvenance(p) for n, p in provenance.items()})
+        assert str(info.value) == (f"orders of values [3, 4] and of provenance "
+                                   f"{sorted(provenance)} differ")
 
 
 class TestShippedTable:

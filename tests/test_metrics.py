@@ -111,6 +111,18 @@ class TestNormalizationHandling:
         assert euclidean(a, b) == 0.0
         assert max_ratio(a, b) == 1.0
 
+    @pytest.mark.parametrize("metric", [euclidean, chebyshev, max_ratio, kendall_tau])
+    @pytest.mark.parametrize("raw", [(1.0, -2.0, 3.0), (0.0, 0.0, 0.0), (1.0, np.inf, 3.0),
+                                     (1.0, np.nan, 3.0), (2.0,), ((1.0, 2.0), (3.0, 4.0))],
+                             ids=["negative", "zero", "inf", "nan", "one-entry", "2-D"])
+    def test_raw_vector_must_pass_the_weight_vector_checks(self, metric, raw):
+        # Refused before any arithmetic, on either side: no nan, no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u, v in ((raw, (1.0, 2.0, 3.0)), ((1.0, 2.0, 3.0), raw)):
+                with pytest.raises(NonPositiveWeightError):
+                    metric(u, v)
+
 
 class TestCompareMethods:
     def test_consistent_matrix_degenerates(self, toy_ri_table):

@@ -6,6 +6,7 @@ import pytest
 
 from pcmkit import (
     GeneratorConfig,
+    NoConvergenceError,
     PCMatrix,
     RiTable,
     SimulationConfig,
@@ -496,6 +497,25 @@ class TestSimulationContracts:
 
     def test_no_convergence_failures(self, small_result):
         assert small_result.nonconverged == 0
+
+    def test_nonconverged_matrices_are_counted_and_refused(self, monkeypatch):
+        # Columns 0, 7 and 30 of every batch report no convergence.
+        failed = np.array([0, 7, 30])
+        solve = montecarlo.power_iterate
+
+        def failing(mats, tol, max_iter):
+            *rest, converged = solve(mats, tol, max_iter)
+            converged[failed] = False
+            return (*rest, converged)
+
+        config = SimulationConfig(dims=(4,), deltas=(1.0, 2.0), matrices_per_cell=200, seed=3)
+        task, ri = simulation_tasks(config)[0], default_ri_table().ri(4)
+        monkeypatch.setattr(montecarlo, "power_iterate", failing)
+        partial = run_task(config, task, ri)
+        assert partial.nonconverged == failed.size
+        assert partial.table[0].sum() == task.count - failed.size
+        with pytest.raises(NoConvergenceError, match=": 6 matrices failed to converge;"):
+            run_simulation(config, workers=1)
 
     def test_statistics_equal_per_bin_reference(self, small_result, small_columns):
         config = small_result.config

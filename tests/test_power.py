@@ -113,12 +113,18 @@ class TestEigenSystemSharesTheKernel:
             assert pair[0].lambda_max == pair[1].lambda_max == alone[0][1][0]
 
 
+def _oriented(mats, transpose):
+    """The stack, or the view of it whose right vectors are its left
+    vectors."""
+    return mats.swapaxes(0, 1) if transpose else mats
+
+
 @pytest.fixture(scope="module", params=[3, 5, 9, 15], ids=lambda n: f"n{n}")
 def order_pool(request):
-    """A pool of one order with its right and transpose solves as a
-    contiguous full batch: the bits every narrower solve must give."""
+    """A pool of one order with its right and transpose solves as a full
+    batch: the bits every narrower solve must give."""
     pool = _pool(n=request.param)
-    full = {transpose: power_iterate(pool, TOL, MAX_ITER, transpose)
+    full = {transpose: power_iterate(_oriented(pool, transpose), TOL, MAX_ITER)
             for transpose in (False, True)}
     return pool, full
 
@@ -131,7 +137,7 @@ class TestNarrowAndStridedStacks:
     def test_lone_matrix(self, order_pool, transpose):
         pool, full = order_pool
         for k in range(0, pool.shape[2], 5):
-            lone = power_iterate(pool[:, :, k:k + 1], TOL, MAX_ITER, transpose)
+            lone = power_iterate(_oriented(pool[:, :, k:k + 1], transpose), TOL, MAX_ITER)
             _assert_same_bits(_rows(lone, 0), _rows(full[transpose], k))
 
     def test_one_matrix_outlives_the_rest(self, order_pool, transpose):
@@ -141,7 +147,7 @@ class TestNarrowAndStridedStacks:
         early = np.flatnonzero(iters <= iters[last] - _CHECK_EVERY)[:6]
         assert early.size == 6
         picked = np.append(early, last)
-        result = power_iterate(pool[:, :, picked], TOL, MAX_ITER, transpose)
+        result = power_iterate(_oriented(pool[:, :, picked], transpose), TOL, MAX_ITER)
         for pos, k in enumerate(picked):
             _assert_same_bits(_rows(result, pos), _rows(full[transpose], k))
 
@@ -150,12 +156,14 @@ class TestNarrowAndStridedStacks:
         mask = np.random.default_rng(11).random(pool.shape[2]) < 0.4
         masked = pool[:, :, mask]
         assert not masked.flags.c_contiguous
-        result = power_iterate(masked, TOL, MAX_ITER, transpose)
+        result = power_iterate(_oriented(masked, transpose), TOL, MAX_ITER)
         for pos, k in enumerate(np.flatnonzero(mask)):
             _assert_same_bits(_rows(result, pos), _rows(full[transpose], k))
 
 
-def test_transpose_flag_equals_a_transposed_copy(order_pool):
+def test_swapped_view_equals_a_transposed_copy(order_pool):
+    """Rule 2: the swapped view, whose pieces are copied C-contiguous,
+    gets the bits of a contiguous copy of the transposed stack."""
     pool, full = order_pool
     copy = np.ascontiguousarray(pool.transpose(1, 0, 2))
     _assert_same_bits(power_iterate(copy, TOL, MAX_ITER), full[True])
@@ -168,7 +176,7 @@ def test_matrix_whose_two_solves_stop_apart_matches_the_batch(n):
     the batch's bits."""
     pool = _pool(n=n)
     right = power_iterate(pool, TOL, MAX_ITER)
-    left = power_iterate(pool, TOL, MAX_ITER, transpose=True)
+    left = power_iterate(pool.swapaxes(0, 1), TOL, MAX_ITER)
     apart = np.flatnonzero(right[2] != left[2])
     assert apart.size
     wr, inv, combined, rgm, lam, ok = batch_vectors(pool)
@@ -266,10 +274,10 @@ class TestElementBudget:
     def test_power_iterate(self, monkeypatch, n, count, budget, widths):
         pool = _pool(n=n, count=count)
         monkeypatch.setattr(_power, "_STACK_ELEMENTS", _UNSPLIT)
-        whole = [power_iterate(pool, TOL, MAX_ITER, t) for t in (False, True)]
+        whole = [power_iterate(_oriented(pool, t), TOL, MAX_ITER) for t in (False, True)]
         self._split(monkeypatch, n, budget, widths, count)
         for t in (False, True):
-            _assert_same_bits(power_iterate(pool, TOL, MAX_ITER, t), whole[t])
+            _assert_same_bits(power_iterate(_oriented(pool, t), TOL, MAX_ITER), whole[t])
 
     def test_vector_rows_and_bin_table(self, monkeypatch, n, count, budget, widths):
         pool = _pool(n=n, count=count)
@@ -307,19 +315,17 @@ def test_einsum_gives_the_bits_of_np_einsum(n, width):
     rng = np.random.default_rng(18)
     mats = np.exp(rng.uniform(-9.0, 9.0, (n, n, width)))
     w = rng.uniform(0.01, 1.0, (n, width))
-    for matvec in _power._MATVEC:
-        out = np.empty((n, width))
-        _power._einsum(matvec, mats, w, out=out)
-        assert out.tobytes() == np.einsum(matvec, mats, w).tobytes()
+    out = np.empty((n, width))
+    _power._einsum(_power._MATVEC, mats, w, out=out)
+    assert out.tobytes() == np.einsum(_power._MATVEC, mats, w).tobytes()
 
 
-def _residual_at_every_check(mats, tol, max_iter, transpose=False):
+def _residual_at_every_check(mats, tol, max_iter):
     """`power_iterate` with the check step that measures the eigenvalue and
     the residual at every check, whether or not any matrix can stop there."""
     n, _, batch = mats.shape
     out = (np.full((n, batch), 1.0 / n), np.zeros(batch), np.zeros(batch, dtype=np.int64),
            np.full(batch, np.inf), np.zeros(batch, dtype=bool))
-    matvec = _power._MATVEC[transpose]
     with np.errstate(divide="ignore", invalid="ignore"):
         for piece in _power._pieces(n, batch):
             weights, lam_out, iter_out, resid_out, converged = (a[..., piece] for a in out)
@@ -331,10 +337,10 @@ def _residual_at_every_check(mats, tol, max_iter, transpose=False):
             while it < max_iter:
                 check = min(it + _CHECK_EVERY, max_iter)
                 for _ in range(check - it - 1):
-                    np.einsum(matvec, active, w, out=v)
+                    np.einsum(_power._MATVEC, active, w, out=v)
                     np.divide(v, v.sum(axis=0), out=w)
                 it = check
-                np.einsum(matvec, active, w, out=v)
+                np.einsum(_power._MATVEC, active, w, out=v)
                 lam = (v / w).sum(axis=0) / n
                 resid = np.max(np.abs(v - lam * w) / w, axis=0)
                 w_next = v / v.sum(axis=0)
@@ -374,9 +380,9 @@ class TestResidualOnlyWhereAMatrixCanStop:
     @pytest.mark.parametrize("n", [4, 9])
     @pytest.mark.parametrize("transpose", [False, True], ids=["right", "transpose"])
     def test_batches_of_2048(self, max_iter, n, transpose):
-        pool = _pool(n=n, count=2048)
-        _assert_same_bits(power_iterate(pool, TOL, max_iter, transpose),
-                          _residual_at_every_check(pool, TOL, max_iter, transpose))
+        pool = _oriented(_pool(n=n, count=2048), transpose)
+        _assert_same_bits(power_iterate(pool, TOL, max_iter),
+                          _residual_at_every_check(pool, TOL, max_iter))
 
     def test_underflowing_matrix(self, max_iter):
         pair = np.ascontiguousarray(np.stack((_UNDERFLOWING, _UNDERFLOWING.T), axis=2))
