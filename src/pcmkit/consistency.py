@@ -23,16 +23,13 @@ import numpy as np
 from ._power import _pieces, power_iterate
 from .core import PCMatrix, reciprocal_from_upper
 from .errors import MissingRiError, NoConvergenceError
-from .weighting import right_eigenvector
+# `_ci_cr` lives with the memo slot that derives CI; the simulation imports it from here.
+from .weighting import _ci_cr, _solved, right_eigenvector
 
 # Discrete judgment scale used for random matrices: 1/9 ... 1/2, 1, 2 ... 9.
 SAATY_SCALE = np.array(
     [1 / 9, 1 / 8, 1 / 7, 1 / 6, 1 / 5, 1 / 4, 1 / 3, 1 / 2, 1, 2, 3, 4, 5, 6, 7, 8, 9]
 )
-
-# Tiny CI magnitudes are solver noise on consistent input; clamping avoids
-# spurious negative (or nonzero) CR in downstream bins.
-_CI_NOISE_FLOOR = 1e-9
 
 # Samples are processed in fixed-size chunks with per-chunk derived seeds,
 # so the estimate is bitwise identical for any worker count.
@@ -165,36 +162,23 @@ class ConsistencyReport:
     acceptable: bool
 
 
-def _ci_cr(lam, n: int, ri: float = 1.0):
-    """(CI, CR) of dominant eigenvalues of order-n matrices, for one value
-    or an array of them: CI = (lam - n) / (n - 1), noise-clamped at zero,
-    and CR = CI / RI."""
-    ci = (lam - n) / (n - 1)
-    ci = np.where(np.abs(ci) < _CI_NOISE_FLOOR, 0.0, ci)
-    return ci, ci / ri
-
-
 def consistency_index(matrix: PCMatrix) -> float:
     """CI = (lambda_max - n) / (n - 1), noise-clamped at zero."""
-    lam = right_eigenvector(matrix).lambda_max
-    return float(_ci_cr(lam, matrix.n)[0])
-
-
-def report_from_lambda(n: int, lambda_max: float, ri_table: RiTable) -> ConsistencyReport:
-    """Build the consistency verdict from an already computed eigenvalue."""
-    ri = ri_table.ri(n)
-    ci, cr = (float(x) for x in _ci_cr(lambda_max, n, ri))
-    return ConsistencyReport(
-        n=n, lambda_max=lambda_max, ci=ci, ri=ri,
-        ri_source=ri_table.provenance_of(n), cr=cr, acceptable=cr <= 0.1,
-    )
+    right_eigenvector(matrix)  # raises where the right run failed
+    return _solved(matrix)[3]
 
 
 def consistency_ratio(matrix: PCMatrix, ri_table: RiTable | None = None) -> ConsistencyReport:
-    """CR report for a matrix; uses the shipped RI table unless given one."""
+    """CR report for a matrix; uses the shipped RI table unless given one.
+    CR is CI / RI, with the bits `_ci_cr` gives them."""
     table = ri_table if ri_table is not None else default_ri_table()
-    lam = right_eigenvector(matrix).lambda_max
-    return report_from_lambda(matrix.n, lam, table)
+    right, ci, n = right_eigenvector(matrix), _solved(matrix)[3], matrix.n
+    ri = table.ri(n)
+    cr = float(ci / ri)
+    return ConsistencyReport(
+        n=n, lambda_max=right.lambda_max, ci=ci, ri=ri,
+        ri_source=table.provenance_of(n), cr=cr, acceptable=cr <= 0.1,
+    )
 
 
 def _ri_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -> float:

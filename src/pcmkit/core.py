@@ -10,8 +10,8 @@ and the plain-text matrix file format consumed by the CLI.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import InitVar, dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -98,14 +98,17 @@ class PCMatrix:
 
     `_eigen` is private to `weighting`: one slot, filled on first use,
     holding the Perron pairs of this instance and of its transpose from one
-    solve, and the vectors derived from them.  It takes no part in repr,
-    and is neither pickled nor copied.
+    solve, and the vectors and CI derived from them.  It takes no part in
+    repr, and is neither pickled nor copied.
     """
 
     entries: np.ndarray
     _eigen: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # The bound on mirrored products; `validate` passes its policy's, which
+    # lies within the hard bound, so that the residual is computed once.
+    _tolerance: InitVar[float] = MAX_RECIPROCITY_TOLERANCE
 
-    def __post_init__(self):
+    def __post_init__(self, _tolerance):
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
@@ -118,7 +121,7 @@ class PCMatrix:
             i = int(np.argmax(diag != 1.0))
             raise ReciprocityViolationError(i, i, diag[i] * diag[i] - 1.0)
         residual = np.abs(a * a.T - 1.0)
-        if _max(residual, axis=None) > MAX_RECIPROCITY_TOLERANCE:
+        if _max(residual, axis=None) > _tolerance:
             i, j = np.unravel_index(int(np.argmax(residual)), residual.shape)
             raise ReciprocityViolationError(int(i), int(j), float(a[i, j] * a[j, i] - 1.0))
         object.__setattr__(self, "entries", _as_readonly(a))
@@ -138,19 +141,19 @@ class PCMatrix:
         return self.entries[key]
 
 
-def _require_positive(priorities: np.ndarray) -> None:
-    """The check every WeightVector passes, on priorities of any shape:
-    raises NonPositiveWeightError unless all are finite and above zero."""
-    if not _all(np.isfinite(priorities) & (priorities > 0.0), axis=None):
-        raise NonPositiveWeightError("all priorities must be strictly positive and finite")
-
-
-def _require_vector(p: np.ndarray, what: str) -> None:
+def _require_vector(p: np.ndarray, what: str) -> float:
     """The checks every WeightVector passes: one dimension, >= 2 entries, all
-    finite and positive, or NonPositiveWeightError naming the entries `what`."""
+    finite and positive, and a sum that does not overflow.  Returns the sum;
+    raises NonPositiveWeightError naming the entries `what` otherwise."""
     if p.ndim != 1 or p.size < 2:
         raise NonPositiveWeightError(f"expected a vector of >= 2 {what}, got shape {p.shape}")
-    _require_positive(p)
+    if not _all(np.isfinite(p) & (p > 0.0)):
+        raise NonPositiveWeightError("all priorities must be strictly positive and finite")
+    with np.errstate(over="ignore"):
+        total = _sum(p)
+    if not np.isfinite(total):
+        raise NonPositiveWeightError(f"the sum of the {what} overflows")
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +170,8 @@ class WeightVector:
 
     def __post_init__(self):
         p = np.asarray(self.priorities, dtype=float)
-        _require_vector(p, "priorities")
+        total = _require_vector(p, "priorities")
         target = self.normalization.value
-        total = _sum(p)
         if abs(total - target) > 1e-9 * target:
             raise NonPositiveWeightError(
                 f"priorities sum to {total!r}, expected {target} within 1e-9 relative"
@@ -192,6 +194,24 @@ class WeightVector:
         if self.normalization is Normalization.SUM_ONE:
             return self.priorities
         return self.priorities / self.normalization.value
+
+
+def _unit_vectors(rows: np.ndarray, methods) -> list:
+    """Unit-sum WeightVectors of the rows of a C-contiguous (k, n) array, made
+    read-only, checked in one pass.  Each row sums in a lone vector's order,
+    so it gets WeightVector's verdict; one that fails comes back as the
+    `partial(WeightVector, ...)` that raises its error."""
+    rows.flags.writeable = False
+    ok = _all(np.isfinite(rows) & (rows > 0.0), axis=1) & (np.abs(_sum(rows, axis=1) - 1.0) <= 1e-9)
+    vectors = []
+    for row, method, good in zip(rows, methods, ok.tolist()):
+        if good:
+            v = WeightVector.__new__(WeightVector)
+            v.__dict__.update(priorities=row, normalization=Normalization.SUM_ONE, method=method)
+        else:
+            v = partial(WeightVector, row, Normalization.SUM_ONE, method)
+        vectors.append(v)
+    return vectors
 
 
 def _check_positive(a: np.ndarray) -> None:
@@ -252,14 +272,7 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
             raise NonPositiveEntryError(int(iu[k]), int(ju[k]), float(upper[k]))
         return PCMatrix(reciprocal_from_upper(upper, n))
 
-    # The constructor checks positivity, the diagonal and the hard bound;
-    # only the policy's tighter tolerance is left.
-    checked = PCMatrix(a)
-    worst = np.abs(a * a.T - 1.0)
-    if _max(worst, axis=None) > policy.tolerance:
-        i, j = np.unravel_index(int(np.argmax(worst)), worst.shape)
-        raise ReciprocityViolationError(int(i), int(j), float(a[i, j] * a[j, i] - 1.0))
-    return checked
+    return PCMatrix(a, policy.tolerance)
 
 
 def consistent_from_weights(weights) -> PCMatrix:
@@ -288,8 +301,8 @@ def normalize(raw, target: Normalization = Normalization.SUM_ONE,
               method: str | None = None) -> WeightVector:
     """Scale positive components so they sum to the target total."""
     p = np.asarray(raw, dtype=float)
-    _require_vector(p, "components")
-    return WeightVector(p * (target.value / p.sum()), target, method)
+    total = _require_vector(p, "components")
+    return WeightVector(p * (target.value / total), target, method)
 
 
 # ---------------------------------------------------------------------------

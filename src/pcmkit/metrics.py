@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._power import _max, _row_sum, _sum
-from .consistency import RiTable, _ci_cr, default_ri_table
-from .core import PCMatrix, WeightVector, _require_positive, _require_vector, _upper_indices
+from .consistency import RiTable, default_ri_table
+from .core import PCMatrix, WeightVector, _require_vector, _upper_indices
 from .errors import DimensionMismatchError
-from .weighting import _checked, eigen_system
+from .weighting import _finished, _solved, eigen_system
 
 METRICS = ("euclidean", "chebyshev", "max_ratio", "kendall")
 
@@ -151,20 +151,22 @@ def record_from_vectors(right: np.ndarray, inverse_left: np.ndarray,
                         cr: float) -> ComparisonRecord:
     """Assemble a ComparisonRecord from already computed unit-sum vectors.
 
-    The vectors are scored as given, with no renormalization, by
-    `metric_blocks` and `comparison_flags` on a batch of one: the same
-    arithmetic the simulation applies to a batch.
+    The vectors are scored as given, with no renormalization, by one
+    `metric_blocks` pass, the right vector three times against the other
+    three side by side, and `comparison_flags`: by rule 3 of `_power`, each
+    pair gets the bits of the simulation's arithmetic on a batch.
     """
-    block = metric_blocks(right[:, None], [v[:, None] for v in (inverse_left, combined, rgm)])
+    block = metric_blocks(np.array((right, right, right)).T,
+                          (np.array((inverse_left, combined, rgm)).T,))[:, 0, :, None]
     closer, top = comparison_flags(block, right[:, None], inverse_left[:, None])
-    d_r = np.sign(right[:, None] - right[None, :])
-    d_l = np.sign(inverse_left[:, None] - inverse_left[None, :])
+    iu, ju = _upper_indices(len(right))
+    signs = np.sign(right[iu] - right[ju]) * np.sign(inverse_left[iu] - inverse_left[ju])
     return ComparisonRecord(
         cr=cr,
-        values={m: tuple(float(x) for x in block[mi, :, 0]) for mi, m in enumerate(METRICS)},
+        values={m: tuple(block[mi, :, 0].tolist()) for mi, m in enumerate(METRICS)},
         closer={m: bool(closer[mi, 0]) for mi, m in enumerate(METRICS)},
         top_reversal=bool(top[0]),
-        any_reversal=bool(np.any(d_r * d_l < 0)),
+        any_reversal=bool((signs < 0).any()),
     )
 
 
@@ -172,12 +174,13 @@ def compare_methods(matrix: PCMatrix, ri_table: RiTable | None = None) -> Compar
     """Evaluate all four metrics for one matrix against all three vectors.
 
     Bit for bit the record the simulation computes for the same matrix.
-    Raises NonPositiveWeightError, as the WeightVector of each would, when
-    the inverse-left, combined or RGM vector is not positive and finite.
+    Raises the NonPositiveWeightError of the WeightVector it reads when the
+    inverse-left, combined or RGM vector is not positive and finite.  CR is
+    CI / RI, with the bits `_ci_cr` gives them.
     """
     table = ri_table if ri_table is not None else default_ri_table()
     right, _ = eigen_system(matrix)
-    inverse_left, combined, rgm = _checked(matrix)[2]
-    _require_positive(np.array((inverse_left, combined, rgm)))
-    _, cr = _ci_cr(right.lambda_max, matrix.n, table.ri(matrix.n))
-    return record_from_vectors(right.weights.priorities, inverse_left, combined, rgm, float(cr))
+    _, _, vectors, ci = _solved(matrix)
+    inverse_left, combined, rgm = (_finished(v).priorities for v in vectors)
+    return record_from_vectors(right.weights.priorities, inverse_left, combined, rgm,
+                               float(ci / table.ri(matrix.n)))

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .consistency import RiTable, default_ri_table, report_from_lambda
+from .consistency import RiTable, consistency_ratio, default_ri_table
 from .core import Normalization, PCMatrix, reconcile_matrix_text
 from .metrics import ComparisonRecord, compare_methods, euclidean
 from .weighting import (
@@ -36,7 +36,6 @@ class _CaseContext:
     def __init__(self, matrix: PCMatrix, ri_table: RiTable):
         self.matrix, self.ri_table = matrix, ri_table
         right, left = eigen_system(matrix)
-        self.lambda_max = right.lambda_max
         self.weights100 = {"right": right.weights.priorities * 100.0,
                            "left": left.weights.priorities * 100.0,
                            "inverse-left": inverse_left_eigenvector(matrix).priorities * 100.0}
@@ -45,7 +44,7 @@ class _CaseContext:
 
     @cached_property
     def cr(self) -> float:
-        return report_from_lambda(self.matrix.n, self.lambda_max, self.ri_table).cr
+        return consistency_ratio(self.matrix, self.ri_table).cr
 
     @cached_property
     def record(self) -> ComparisonRecord:

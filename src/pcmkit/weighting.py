@@ -7,27 +7,29 @@ for group judgments: entrywise aggregation of matrices and componentwise
 aggregation of priority vectors.
 
 The inverse-left, combined and row-geometric-mean vectors and the left/right
-eigenvalue check have one derivation, `_vector_rows`, which the simulation
-runs on a batch and every function here on a batch of one: a matrix gets
-the same bits alone as in a simulation batch.
+eigenvalue check have one derivation each, which `_vector_rows` runs on a
+simulation batch and the memo slot on a batch of one: a matrix gets the
+same bits alone as in a simulation batch.
 
 Every function of the eigenvector family reads one memo slot per `PCMatrix`
 instance.  The first of them to run fills it with a single power-iteration
-call on the matrix and its transpose stacked, then `_vector_rows` on that
-batch of one; every later call, of any kind, reads the slot.  The slot lives
-and dies with the instance; no cache is shared between matrices, so two
-matrices with equal entries each solve their own.
+call on the matrix and its transpose stacked, then builds every vector and
+result it reports, checks the five vectors in one pass and computes CI;
+every later call, of any kind, returns the same objects from the slot.  The
+slot lives and dies with the instance; no cache is shared between matrices,
+so two matrices with equal entries each solve their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._power import _row_sum, power_iterate
-from .core import (Normalization, PCMatrix, WeightVector, _upper_indices, normalize,
-                   reciprocal_from_upper)
+from .core import (Normalization, PCMatrix, WeightVector, _unit_vectors, _upper_indices,
+                   normalize, reciprocal_from_upper)
 from .errors import DimensionMismatchError, EmptyListError, NoConvergenceError
 
 
@@ -36,6 +38,10 @@ from .errors import DimensionMismatchError, EmptyListError, NoConvergenceError
 # also certifies the eigen-residual at `_TOL` before it stops.
 _TOL = 1e-12
 _MAX_ITERATIONS = 10_000
+
+# Tiny CI magnitudes are solver noise on consistent input; clamping avoids
+# spurious negative (or nonzero) CR in downstream bins.
+_CI_NOISE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +55,18 @@ class EigenResult:
     residual: float
 
 
-_ROW_METHODS = ("right-eigenvector", "left-eigenvector")
+# The `method` tags of a memo slot's five vectors, in the order they are checked.
+_METHODS = ("right-eigenvector", "left-eigenvector", "inverse-left-eigenvector",
+            "combined-eigenvector", "row-geometric-mean")
+
+
+def _ci_cr(lam, n: int, ri: float = 1.0):
+    """(CI, CR) of dominant eigenvalues of order-n matrices, for one value
+    or an array of them: CI = (lam - n) / (n - 1), noise-clamped at zero,
+    and CR = CI / RI."""
+    ci = (lam - n) / (n - 1)
+    ci = np.where(np.abs(ci) < _CI_NOISE_FLOOR, 0.0, ci)
+    return ci, ci / ri
 
 
 def _rgm_rows(mats: np.ndarray) -> np.ndarray:
@@ -60,67 +77,79 @@ def _rgm_rows(mats: np.ndarray) -> np.ndarray:
     return x / _row_sum(x)
 
 
+def _agree(lam_right, lam_left, n: int):
+    """Whether the eigenvalues of order-n matrices and their transposes agree."""
+    return np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * n * _TOL) * lam_right
+
+
+def _inverse_left_rows(right: np.ndarray, left: np.ndarray):
+    """Unit-sum inverse-left and combined (n, B) vectors from the right and left ones."""
+    inverse_left = 1.0 / left
+    inverse_left /= _row_sum(inverse_left)
+    combined = right * inverse_left
+    combined /= _row_sum(combined)
+    return inverse_left, combined
+
+
 def _vector_rows(mats: np.ndarray, right: np.ndarray, left: np.ndarray,
                  lam_right: np.ndarray, lam_left: np.ndarray):
     """Inverse-left, combined and row-geometric-mean vectors of an (n, n, B)
     stack from its (n, B) right and left vectors and eigenvalues, and whether
     each matrix's two eigenvalues agree.  Underflow gives no numpy warning."""
-    agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * len(mats) * _TOL) * lam_right
     with np.errstate(divide="ignore", invalid="ignore"):
-        inverse_left = 1.0 / left
-        inverse_left /= _row_sum(inverse_left)
-        combined = right * inverse_left
-        combined /= _row_sum(combined)
-    return inverse_left, combined, _rgm_rows(mats), agree
+        inverse_left, combined = _inverse_left_rows(right, left)
+    return inverse_left, combined, _rgm_rows(mats), _agree(lam_right, lam_left, len(mats))
+
+
+def _raise(error, *args):
+    raise error(*args)
+
+
+def _finished(entry):
+    """A memo slot entry, or, for a `partial` that stands for a failure, its
+    error, raised fresh for every caller."""
+    return entry() if isinstance(entry, partial) else entry
 
 
 def _solved(matrix: PCMatrix) -> tuple:
-    """The matrix's memo slot: (right, left, rows, agree).
-
-    `right` and `left` are the Perron pairs of the matrix and of its
-    transpose, columns 0 and 1 of one power-iteration call: an EigenResult
-    for a converged column, (iterations, residual) for one that blew the
-    budget, so every caller raises its own error.  `rows` holds the
-    inverse-left, combined and row-geometric-mean vectors and `agree`
-    whether the two eigenvalues agree.  Filled by the first call; threads
-    that race on an empty slot each solve and store equal, immutable results.
+    """The matrix's memo slot: the right EigenResult, the (right, left) pair,
+    the inverse-left, combined and RGM WeightVectors, and the right CI.  A
+    failure (a run over budget, eigenvalues that disagree, a vector that
+    fails the WeightVector checks) is held as a `partial` that raises it, so
+    only a caller that reads it raises.  Only two agreeing converged runs,
+    whose vectors are positive and finite, derive the inverse-left and
+    combined vectors: the solver's errstate is the only one entered.
+    Threads that race on an empty slot each store equal, immutable results.
     """
     if matrix._eigen is None:
         a = matrix.entries
+        n = len(a)
         # Built C-contiguous, so that the solver iterates it without a copy.
         pair = np.empty(a.shape + (2,))
         pair[:, :, 0] = a
         pair[:, :, 1] = a.T
         w, lam, iters, resid, conv = power_iterate(pair, _TOL, _MAX_ITERATIONS)
-        *rows, agree = _vector_rows(a[:, :, None], w[:, :1], w[:, 1:], lam[:1], lam[1:])
-        pairs = [
-            EigenResult(WeightVector(w[:, k], Normalization.SUM_ONE, _ROW_METHODS[k]),
-                        float(lam[k]), int(iters[k]), float(resid[k]))
-            if conv[k] else (int(iters[k]), float(resid[k]))
-            for k in (0, 1)
-        ]
-        object.__setattr__(matrix, "_eigen", (*pairs, tuple(r[:, 0] for r in rows), bool(agree[0])))
+        (lam_r, lam_l), iters, resid = lam.tolist(), iters.tolist(), resid.tolist()
+        failed = [partial(_raise, NoConvergenceError, iters[k], resid[k]) for k in (0, 1)
+                  if not conv[k]]
+        if not failed and not _agree(lam_r, lam_l, n):
+            failed.append(partial(_raise, NoConvergenceError, iters[1], resid[1],
+                                  f"left/right eigenvalue estimates disagree by "
+                                  f"{abs(lam_l - lam_r) / lam_r:.3e} relative"))
+        rows = np.empty((5, n))
+        rows[:2] = w.T
+        rows[2:4] = (np.nan if failed else
+                     np.concatenate(_inverse_left_rows(w[:, :1], w[:, 1:]), 1).T)
+        rows[4] = _rgm_rows(a[:, :, None])[:, 0]
+        right, left, *vectors = _unit_vectors(rows, _METHODS)
+        right = EigenResult(_finished(right), lam_r, iters[0], resid[0]) if conv[0] else failed[0]
+        if failed:
+            system = vectors[0] = vectors[1] = failed[0]
+        else:
+            system = (right, EigenResult(_finished(left), lam_r, iters[1], resid[1]))
+        ci = float(_ci_cr(lam_r, n)[0]) if conv[0] else None
+        object.__setattr__(matrix, "_eigen", (right, system, tuple(vectors), ci))
     return matrix._eigen
-
-
-def _converged(row) -> EigenResult:
-    if isinstance(row, EigenResult):
-        return row
-    raise NoConvergenceError(*row)
-
-
-def _checked(matrix: PCMatrix):
-    """(right, left, rows) of the memo slot.  Raises NoConvergenceError
-    when either run blew the budget or the two eigenvalues disagree."""
-    right, left, rows, agree = _solved(matrix)
-    right, left = _converged(right), _converged(left)
-    if not agree:
-        gap = abs(left.lambda_max - right.lambda_max) / right.lambda_max
-        raise NoConvergenceError(
-            left.iterations, left.residual,
-            f"left/right eigenvalue estimates disagree by {gap:.3e} relative",
-        )
-    return right, left, rows
 
 
 def right_eigenvector(matrix: PCMatrix) -> EigenResult:
@@ -129,7 +158,7 @@ def right_eigenvector(matrix: PCMatrix) -> EigenResult:
     Deterministic: power iteration always starts from the uniform vector.
     Returns even when the transpose's run failed.
     """
-    return _converged(_solved(matrix)[0])
+    return _finished(_solved(matrix)[0])
 
 
 def eigen_system(matrix: PCMatrix):
@@ -139,14 +168,12 @@ def eigen_system(matrix: PCMatrix):
     agree on the dominant eigenvalue; the right-hand estimate is the one
     reported everywhere (single source of truth for consistency indices).
     """
-    right, left, _ = _checked(matrix)
-    return right, EigenResult(left.weights, right.lambda_max, left.iterations, left.residual)
+    return _finished(_solved(matrix)[1])
 
 
 def left_eigenvector(matrix: PCMatrix) -> EigenResult:
     """Dominant left eigenvector (row vector w with w A = lambda w), unit sum."""
-    _, left = eigen_system(matrix)
-    return left
+    return eigen_system(matrix)[1]
 
 
 def inverse_left_eigenvector(matrix: PCMatrix) -> WeightVector:
@@ -155,12 +182,12 @@ def inverse_left_eigenvector(matrix: PCMatrix) -> WeightVector:
     Coincides with the right eigenvector exactly for consistent matrices
     and for every matrix with three alternatives.
     """
-    return WeightVector(_checked(matrix)[2][0], Normalization.SUM_ONE, "inverse-left-eigenvector")
+    return _finished(_solved(matrix)[2][0])
 
 
 def combined_eigenvector(matrix: PCMatrix) -> WeightVector:
     """Componentwise product of the right and inverse-left vectors, renormalized."""
-    return WeightVector(_checked(matrix)[2][1], Normalization.SUM_ONE, "combined-eigenvector")
+    return _finished(_solved(matrix)[2][1])
 
 
 def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
@@ -168,13 +195,13 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
 
     Closed form, no iteration; this is the optimum of the logarithmic
     least squares problem.  A filled memo slot holds it already, from the
-    same `_rgm_rows` call on the same batch of one.
+    same `_rgm_rows` call on the same batch of one; an empty slot stays
+    empty, and the vector is computed afresh.
     """
     if matrix._eigen is None:
-        rgm = _rgm_rows(matrix.entries[:, :, None])[:, 0]
-    else:
-        rgm = matrix._eigen[2][2]
-    return WeightVector(rgm, Normalization.SUM_ONE, "row-geometric-mean")
+        return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0], Normalization.SUM_ONE,
+                            "row-geometric-mean")
+    return _finished(matrix._eigen[2][2])
 
 
 def aggregate_matrices_geometric(matrices) -> PCMatrix:

@@ -8,6 +8,7 @@ from pcmkit import (
     NonPositiveEntryError,
     NonPositiveWeightError,
     NonSquareError,
+    PCMatrix,
     ReciprocityMode,
     ReciprocityPolicy,
     ReciprocityViolationError,
@@ -19,6 +20,7 @@ from pcmkit import (
     permute,
     reconcile_matrix_text,
     transpose,
+    WeightVector,
     validate,
 )
 from pcmkit.core import STRICT_FILE_POLICY
@@ -87,6 +89,29 @@ class TestValidate:
         raw[1, 1] = 1.001
         with pytest.raises(ReciprocityViolationError):
             validate(raw, STRICT_FILE_POLICY)
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-3, 0.1])
+    def test_names_the_largest_residual_at_any_tolerance(self, tolerance):
+        # Two pairs off reciprocity, one by 5e-2 and one by 0.3: the policy
+        # and the hard bound report the same pair, the one furthest off.
+        raw = np.ones((4, 4))
+        raw[0, 2], raw[3, 1] = 1.05, 1.3
+        with pytest.raises(ReciprocityViolationError) as err:
+            validate(raw, ReciprocityPolicy(tolerance=tolerance))
+        assert (err.value.row, err.value.col) == (1, 3)
+        assert err.value.residual == raw[1, 3] * raw[3, 1] - 1.0
+        with pytest.raises(ReciprocityViolationError) as built:
+            PCMatrix(raw)
+        assert (built.value.row, built.value.col, built.value.residual) == \
+            (err.value.row, err.value.col, err.value.residual)
+
+    def test_policy_violation_alone_names_its_pair(self):
+        raw = np.ones((3, 3))
+        raw[2, 0] = 1.0 + 1e-6
+        with pytest.raises(ReciprocityViolationError) as err:
+            validate(raw)
+        assert (err.value.row, err.value.col) == (0, 2)
+        assert validate(raw, STRICT_FILE_POLICY).entries.tobytes() == raw.tobytes()
 
     def test_policy_tolerance_bounds(self):
         with pytest.raises(ValueError):
@@ -176,6 +201,14 @@ class TestNormalize:
     def test_rejects_non_positive(self):
         with pytest.raises(NonPositiveWeightError):
             normalize((1.0, -2.0, 3.0))
+
+    def test_rejects_a_sum_that_overflows(self):
+        # Finite positive components whose sum is not finite: refused with
+        # no numpy warning (warnings are errors in this suite).
+        with pytest.raises(NonPositiveWeightError, match="sum of the components overflows"):
+            normalize((1e308, 1e308, 1.0))
+        with pytest.raises(NonPositiveWeightError, match="sum of the priorities overflows"):
+            WeightVector(np.array([1e308, 1e308, 1.0]))
 
     def test_rescaled_round_trip(self):
         v = normalize((1.0, 2.0, 3.0))

@@ -10,7 +10,9 @@ import pytest
 
 from pcmkit import (
     NoConvergenceError,
+    NonPositiveWeightError,
     PCMatrix,
+    WeightVector,
     combined_eigenvector,
     compare_methods,
     consistency_index,
@@ -20,8 +22,10 @@ from pcmkit import (
     inverse_left_eigenvector,
     left_eigenvector,
     right_eigenvector,
+    row_geometric_mean,
     weighting,
 )
+from pcmkit import consistency, core
 from pcmkit._power import power_iterate
 from pcmkit.cli import main
 from pcmkit.verify import CASES, run_verification
@@ -117,6 +121,135 @@ class TestOneSolvePerMatrix:
             assert got.weights.priorities.tobytes() == want.weights.priorities.tobytes()
             assert (got.lambda_max, got.iterations, got.residual) == \
                 (want.lambda_max, want.iterations, want.residual)
+
+
+@pytest.fixture()
+def checks(monkeypatch):
+    """Counts the batched vector checks, the CI derivations and every
+    WeightVector construction that runs its own checks."""
+    calls = {"vector check": 0, "_ci_cr": 0, "WeightVector": 0}
+
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(weighting, "_unit_vectors",
+                        counting("vector check", weighting._unit_vectors))
+    for module in (weighting, consistency):
+        monkeypatch.setattr(module, "_ci_cr", counting("_ci_cr", weighting._ci_cr))
+    monkeypatch.setattr(WeightVector, "__post_init__",
+                        counting("WeightVector", WeightVector.__post_init__))
+    return calls
+
+
+def _full_analysis(text: str):
+    """The single-matrix sequence a user runs: parse, validate, the four
+    vectors, the consistency report and the comparison record."""
+    m = core.validate(core.parse_matrix_text(text), core.STRICT_FILE_POLICY)
+    return (m, right_eigenvector(m), inverse_left_eigenvector(m), combined_eigenvector(m),
+            row_geometric_mean(m), consistency_ratio(m), compare_methods(m))
+
+
+class TestOneAnalysisBuildsEachObjectOnce:
+    def test_repeated_calls_return_the_same_object(self):
+        m = _matrix(seed=2, n=7)
+        getters = (eigen_system, right_eigenvector, left_eigenvector, inverse_left_eigenvector,
+                   combined_eigenvector, row_geometric_mean)
+        first = [call(m) for call in getters]
+        for call, got in zip(getters, first):
+            assert call(m) is got
+            assert call(m) == got
+        right, left = first[0]
+        assert first[1] is right and first[2] is left
+        for v in (right.weights, left.weights, *first[3:]):
+            assert not v.priorities.flags.writeable
+
+    def test_compare_methods_reads_the_pair_through_its_own_module(self, monkeypatch):
+        # perfbench's traced single-matrix run times the pair under this name.
+        from pcmkit import metrics
+
+        seen = []
+        monkeypatch.setattr(metrics, "eigen_system", lambda m: seen.append(m) or eigen_system(m))
+        m = _matrix()
+        compare_methods(m)
+        assert seen == [m]
+
+    def test_row_geometric_mean_before_a_solve_is_built_fresh(self, solves):
+        # Asked for alone it neither solves nor fills the slot; once the slot
+        # is filled, every call returns the slot's object.
+        m = _matrix(seed=3)
+        alone = row_geometric_mean(m)
+        assert row_geometric_mean(m) is not alone and m._eigen is None and solves == []
+        right_eigenvector(m)
+        assert row_geometric_mean(m) is row_geometric_mean(m)
+        assert row_geometric_mean(m).priorities.tobytes() == alone.priorities.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 6, 11])
+    def test_full_analysis_checks_the_vectors_and_derives_ci_once(self, n, solves, checks):
+        m, *_, report, record = _full_analysis(format_matrix_text(_matrix(seed=n, n=n)))
+        assert consistency_index(m) == report.ci and record.cr == report.cr
+        assert solves == [2]
+        assert checks == {"vector check": 1, "_ci_cr": 1, "WeightVector": 0}
+
+
+class TestNonPositiveVectorRaisesOnlyWhereRead:
+    """A non-positive inverse-left, combined or RGM vector raises
+    NonPositiveWeightError from its own getter and from compare_methods
+    only, afresh on every call, and never from the right vector."""
+
+    _GETTERS = {"inverse_left": inverse_left_eigenvector, "combined": combined_eigenvector,
+                "row_geometric_mean": row_geometric_mean}
+
+    @pytest.fixture(params=list(_GETTERS))
+    def zeroed(self, request, monkeypatch):
+        """Zeroes the first entry of one derived vector of every solve."""
+        name = request.param
+        if name == "row_geometric_mean":
+            real = weighting._rgm_rows
+
+            def rows(mats):
+                out = real(mats)
+                out[0] = 0.0
+                return out
+            monkeypatch.setattr(weighting, "_rgm_rows", rows)
+        else:
+            real = weighting._inverse_left_rows
+            k = ("inverse_left", "combined").index(name)
+
+            def rows(right, left):
+                out = real(right, left)
+                out[k][0] = 0.0
+                return out
+            monkeypatch.setattr(weighting, "_inverse_left_rows", rows)
+        return name
+
+    def test_only_its_getter_and_compare_methods_raise(self, zeroed):
+        m = _matrix(seed=8, n=5)
+        for _ in range(2):
+            right, left = eigen_system(m)
+            assert right_eigenvector(m) is right and left_eigenvector(m) is left
+            assert consistency_ratio(m).lambda_max == right.lambda_max
+            for name, getter in self._GETTERS.items():
+                if name != zeroed:
+                    assert getter(m).n == m.n
+            errors = []
+            for call in (self._GETTERS[zeroed], compare_methods):
+                with pytest.raises(NonPositiveWeightError, match="strictly positive") as info:
+                    call(m)
+                errors.append(info.value)
+            assert errors[0] is not errors[1]
+
+    def test_underflowing_combined_vector(self):
+        # Valid entries whose combined vector underflows to zero, unpatched.
+        m = core.validate(np.array([[1.0, 1e300, 1e300], [1e-300, 1.0, 1.0],
+                                    [1e-300, 1.0, 1.0]]))
+        assert right_eigenvector(m).weights.n == 3
+        assert inverse_left_eigenvector(m).n == row_geometric_mean(m).n == 3
+        for call in (combined_eigenvector, compare_methods):
+            with pytest.raises(NonPositiveWeightError):
+                call(m)
 
 
 class TestThreadsSharingMatrices:

@@ -15,7 +15,7 @@ from pcmkit import (
     normalize,
     validate,
 )
-from pcmkit.metrics import METRICS, metric_blocks, record_from_vectors
+from pcmkit.metrics import METRICS, comparison_flags, metric_blocks, record_from_vectors
 
 U = (0.5, 0.4, 0.1)
 V = (0.5, 0.3, 0.2)
@@ -113,8 +113,10 @@ class TestNormalizationHandling:
 
     @pytest.mark.parametrize("metric", [euclidean, chebyshev, max_ratio, kendall_tau])
     @pytest.mark.parametrize("raw", [(1.0, -2.0, 3.0), (0.0, 0.0, 0.0), (1.0, np.inf, 3.0),
-                                     (1.0, np.nan, 3.0), (2.0,), ((1.0, 2.0), (3.0, 4.0))],
-                             ids=["negative", "zero", "inf", "nan", "one-entry", "2-D"])
+                                     (1.0, np.nan, 3.0), (2.0,), ((1.0, 2.0), (3.0, 4.0)),
+                                     (1e308, 1e308, 1.0)],
+                             ids=["negative", "zero", "inf", "nan", "one-entry", "2-D",
+                                  "overflowing-sum"])
     def test_raw_vector_must_pass_the_weight_vector_checks(self, metric, raw):
         # Refused before any arithmetic, on either side: no nan, no warning.
         with warnings.catch_warnings():
@@ -251,3 +253,64 @@ class TestMetricKernel:
         block = metric_blocks(vecs[0][:, None], [vecs[k][:, None] for k in (1, 2, 3)])
         for mi, m in enumerate(METRICS):
             assert record.values[m] == tuple(block[mi, :, 0].tolist())
+
+
+def _record_pair_by_pair(right, inverse_left, combined, rgm):
+    """(values, closer, top, any_reversal) of `record_from_vectors`, scored
+    as three batches of one, with the reversal read off n x n sign matrices."""
+    block = metric_blocks(right[:, None], [v[:, None] for v in (inverse_left, combined, rgm)])
+    closer, top = comparison_flags(block, right[:, None], inverse_left[:, None])
+    d_r = np.sign(right[:, None] - right[None, :])
+    d_l = np.sign(inverse_left[:, None] - inverse_left[None, :])
+    return block[:, :, 0], closer[:, 0], bool(top[0]), bool(np.any(d_r * d_l < 0))
+
+
+def _analysed_vectors(m):
+    from pcmkit import (combined_eigenvector, inverse_left_eigenvector, right_eigenvector,
+                        row_geometric_mean)
+
+    return [right_eigenvector(m).weights.priorities, inverse_left_eigenvector(m).priorities,
+            combined_eigenvector(m).priorities, row_geometric_mean(m).priorities]
+
+
+class TestOnePassRecord:
+    """`record_from_vectors` scores the three pairs in one `metric_blocks`
+    pass; every value keeps the bits of a batch of one per pair."""
+
+    def _assert_same_record(self, vectors):
+        values, closer, top, any_reversal = _record_pair_by_pair(*vectors)
+        record = record_from_vectors(*vectors, cr=0.05)
+        got = np.array([record.values[m] for m in METRICS])
+        assert got.tobytes() == values.tobytes()
+        assert [record.closer[m] for m in METRICS] == closer.tolist()
+        assert (record.top_reversal, record.any_reversal) == (top, any_reversal)
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_matrix_vectors_of_every_order(self, n):
+        from conftest import random_reciprocal
+
+        rng = np.random.default_rng(700 + n)
+        for _ in range(4):
+            self._assert_same_record(_analysed_vectors(random_reciprocal(n, rng)))
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_tied_vectors_of_every_order(self, n):
+        # Components from three levels: ties within and across the vectors.
+        rng = np.random.default_rng(800 + n)
+        for _ in range(8):
+            self._assert_same_record(list(_unit_rows(rng.integers(1, 4, (4, n)).astype(float))))
+
+    @pytest.mark.parametrize("weights", [(4.0, 3.0, 2.0, 1.0), (5.0, 1.0, 1.0, 2.0, 3.0, 1.0)],
+                             ids=["n4", "n6-tied"])
+    def test_consistent_matrix(self, weights):
+        self._assert_same_record(_analysed_vectors(consistent_from_weights(weights)))
+
+    def test_three_alternatives(self):
+        # The inverse-left vector equals the right one analytically at n = 3.
+        from conftest import random_reciprocal
+
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            vectors = _analysed_vectors(random_reciprocal(3, rng))
+            self._assert_same_record(vectors)
+            assert record_from_vectors(*vectors, cr=0.0).value("kendall", "inverse_left") == 1.0
