@@ -231,27 +231,57 @@ def _chunk_sizes(total: int, size: int) -> list[int]:
 
 def _ordered_map(task, args: list[tuple], workers: int) -> Iterator:
     """Yields task(*a) for a in args, in that order, each as soon as it and
-    the ones before it are done.  At most one process runs per task: with
-    two or more tasks and workers, on a pool of min(workers, len(args))
-    processes; otherwise in the calling process.  The worker count is
-    checked here, before any task runs."""
+    the ones before it are done.  At most min(workers, len(args)) processes
+    run them, the calling process included, so a lone task starts none.
+    The worker count is checked here, before any task runs."""
     _check_run(workers)
-    workers = min(workers, len(args))
-    if workers <= 1:
-        return (task(*a) for a in args)
-    return _pool_map(task, args, workers)
+    return _pool_map(task, args, min(workers, len(args)))
 
 
 def _pool_map(task, args: list[tuple], workers: int) -> Iterator:
-    """`_ordered_map` on a pool of `workers` processes, which lives as long
-    as the stream: it shuts down once the last result is drawn or the
-    stream is closed."""
-    # Imported here: the pool pulls in multiprocessing, which a run in the
-    # calling process never needs.
-    from concurrent.futures import ProcessPoolExecutor
+    """`_ordered_map` on the calling process, which runs task k when
+    k % workers == 0, and workers − 1 processes: worker c runs args[c::workers]
+    and sends each result back over its own pipe.  No worker outlives the
+    stream, whether it is drawn to the end, closed early or raises."""
+    started = []
+    try:
+        for c in range(1, workers):
+            from multiprocessing import Pipe, Process  # only a run with workers loads it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(task, *zip(*args))
+            pipe, end = Pipe(duplex=False)
+            proc = Process(target=_worker, args=(end, task, args[c::workers]))
+            with end:  # closed before the next start, so a dead worker's pipe reads as EOF
+                proc.start()
+            started.append((proc, pipe))
+        for k, a in enumerate(args):
+            c = k % workers
+            if c == 0:
+                yield task(*a)
+                continue
+            proc, pipe = started[c - 1]
+            try:
+                ok, result = pipe.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"worker {c} exited with code {proc.exitcode}") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for proc, pipe in started:
+            proc.terminate()  # harmless on a worker that has exited
+            proc.join()
+            pipe.close()
+
+
+def _worker(end, task, args: list[tuple]) -> None:
+    """Sends (True, task(*a)) for each a in args, or (False, exc) if one raises."""
+    with end:
+        try:
+            for a in args:
+                end.send((True, task(*a)))
+        except Exception as exc:
+            end.send((False, exc))
 
 
 def _ri_chunks(n: int, samples: int, seed: int, scale: str) -> list[tuple]:
@@ -284,14 +314,14 @@ def build_ri_table(orders, samples: int, base_seed: int, *,
                    scale: str = "saaty", workers: int = 1) -> RiTable:
     """Estimate RI for several orders; order n uses seed base_seed + n.
 
-    Every order's chunks go through one stream, so at most one pool serves
-    the whole table, and each order's value is the one `estimate_random_index`
-    gives: its chunk sums added in chunk order."""
+    Every order's chunks go through one stream, so one set of worker
+    processes serves the whole table, and each order's value is the one
+    `estimate_random_index` gives: its chunk sums added in chunk order."""
     _check_run(workers, base_seed)
     orders = sorted(set(int(x) for x in orders))
     args = [a for n in orders for a in _ri_chunks(n, samples, base_seed + n, scale)]
     sums: dict[int, list[float]] = {n: [] for n in orders}
-    # The stream is zipped first, so it is drawn to its end and its pool shut down.
+    # The stream is zipped first, so it is drawn to its end and its workers joined.
     for total, (n, *_) in zip(_ordered_map(_ri_chunk_sum, args, workers), args):
         sums[n].append(total)
     values = {n: float(sum(s) / samples) for n, s in sums.items()}

@@ -50,10 +50,15 @@ class NoConvergenceError(PcmError):
     def __init__(self, iterations: int, residual: float, detail: str = ""):
         self.iterations = iterations
         self.residual = residual
+        self.detail = detail
         msg = f"no convergence after {iterations} iterations (residual {residual:.3e})"
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # Rebuilt from its own arguments, so it crosses a worker's pipe.
+        return type(self), (self.iterations, self.residual, self.detail)
 
 
 class MissingRiError(PcmError):

@@ -461,8 +461,8 @@ def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
     matrix that fails to converge would silently skew the bins, so any
     such failure aborts the run with an error carrying the count; positive
     matrices are not expected to fail at all.  The calling thread's
-    generator scratch is emptied when the run returns or raises; a pool
-    worker's dies with the worker.
+    generator scratch is emptied when the run returns or raises; a worker
+    process's dies with the worker.
     """
     table = ri_table if ri_table is not None else default_ri_table()
     ris = {n: table.ri(n) for n in config.dims}

@@ -23,7 +23,7 @@ from pcmkit import (
 SRC = Path(pcmkit.__file__).resolve().parents[1]
 
 # Loaded on first use only.
-DEFERRED = ("pcmkit.montecarlo", "pcmkit.verify", "concurrent.futures.process", "fractions")
+DEFERRED = ("pcmkit.montecarlo", "pcmkit.verify", "multiprocessing", "fractions")
 
 # Every name `pcmkit` exported before its simulation and verification names
 # became lazy.
@@ -119,29 +119,30 @@ class TestColdImport:
 
 
 @pytest.fixture()
-def pools(monkeypatch) -> list[dict]:
-    """The keyword arguments of every process pool started while it lives."""
-    import concurrent.futures
+def started(monkeypatch) -> list:
+    """Every worker process started while it lives."""
+    from multiprocessing.process import BaseProcess
 
-    started: list[dict] = []
+    procs: list = []
+    start = BaseProcess.start
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            super().__init__(*args, **kwargs)
+    def counting_start(self):
+        procs.append(self)
+        start(self)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return started
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
+    return procs
 
 
 class TestDeferredImportsChangeNothing:
-    # A 2-worker simulate through the CLI, which imports the pool when it
-    # starts one, is compared with 1 and 8 workers by acceptance criterion 09.
+    # A 2-worker simulate through the CLI, which imports multiprocessing when
+    # it starts a worker, is compared with 1 and 8 workers by acceptance
+    # criterion 09.
 
-    def test_ri_table_runs_one_pool_and_keeps_every_value(self, pools):
+    def test_ri_table_starts_one_worker_and_keeps_every_value(self, started):
         # 45,000 samples are three chunks per order.
         table = build_ri_table([5, 3, 4], 45_000, 17, workers=2)
-        assert pools == [{"max_workers": 2}]
+        assert len(started) == 1
         assert table.orders == (3, 4, 5)
         for n in table.orders:
             assert table.ri(n) == estimate_random_index(n, 45_000, 17 + n)
@@ -166,32 +167,33 @@ def _simulation(tasks: int, workers: int):
 
 
 class TestFanOutSize:
-    """No more processes start than there are tasks, and one task runs in
-    the calling process."""
+    """The calling process runs tasks too, so fewer worker processes start
+    than there are tasks, and one task starts none."""
 
-    def test_a_one_chunk_estimate_starts_no_pool(self, pools):
+    def test_a_one_chunk_estimate_starts_no_worker(self, started):
         assert estimate_random_index(6, 4000, 9, workers=2) == estimate_random_index(6, 4000, 9)
-        assert pools == []
+        assert started == []
 
-    def test_a_one_task_simulation_starts_no_pool(self, pools):
+    def test_a_one_task_simulation_starts_no_worker(self, started):
         wide, serial = _simulation(1, 8), _simulation(1, 1)
-        assert pools == []
+        assert started == []
         assert wide.cell_tables[(4, 1.0)].tobytes() == serial.cell_tables[(4, 1.0)].tobytes()
 
-    def test_three_tasks_start_three_workers(self, pools):
+    def test_three_tasks_start_two_workers(self, started):
         wide, serial = _simulation(3, 8), _simulation(3, 1)
-        assert pools == [{"max_workers": 3}]
+        assert len(started) == 2
         assert wide.cell_tables[(4, 1.0)].tobytes() == serial.cell_tables[(4, 1.0)].tobytes()
 
     @pytest.mark.parametrize("workers", [0, -1])
     @pytest.mark.parametrize("tasks", [0, 1, 3])
-    def test_a_worker_count_below_one_is_rejected_before_any_task(self, pools, workers, tasks):
+    def test_a_worker_count_below_one_is_rejected_before_any_task(self, started, workers,
+                                                                  tasks):
         from pcmkit.consistency import _ordered_map
 
         ran = []
         with pytest.raises(ValueError, match="workers must be >= 1"):
             _ordered_map(ran.append, [(k,) for k in range(tasks)], workers)
-        assert ran == [] and pools == []
+        assert ran == [] and started == []
 
 
 class TestIdentityEquality:
