@@ -201,33 +201,28 @@ def _parse_simulation_config(path) -> tuple[SimulationConfig, str | None]:
             if key in values:
                 raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {values[key][0]}")
             values[key] = (lineno, value)
-    known = {"dims", "deltas", "counts", "seed", "bin_width",
-             "min_bin_count", "cr_cap", "ri_table"}
-    unknown = set(values) - known
+    # Parsers in parse order; a key the file leaves out takes SimulationConfig's default.
+    parsers = {"dims": lambda v: tuple(int(x) for x in v.split(",")),
+               "deltas": lambda v: tuple(float(x) for x in v.split(",")),
+               "counts": int, "bin_width": float, "min_bin_count": int, "cr_cap": float,
+               "seed": int}
+    unknown = set(values) - {*parsers, "ri_table"}
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     for required in ("dims", "deltas", "counts", "seed"):
         if required not in values:
             raise ValueError(f"{path}: missing required key {required!r}")
 
-    def field(key: str, parse, default: str | None = None):
-        if key not in values:
-            return parse(default)
+    def field(key: str, parse):
         lineno, value = values[key]
         try:
             return parse(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}={value}: {exc}") from None
 
-    config = SimulationConfig(
-        dims=field("dims", lambda v: tuple(int(x) for x in v.split(","))),
-        deltas=field("deltas", lambda v: tuple(float(x) for x in v.split(","))),
-        matrices_per_cell=field("counts", int),
-        bin_width=field("bin_width", float, "0.005"),
-        min_bin_count=field("min_bin_count", int, "1000"),
-        cr_cap=field("cr_cap", float, "0.5"),
-        seed=field("seed", int),
-    )
+    given = {key: field(key, parse) for key, parse in parsers.items() if key in values}
+    given["matrices_per_cell"] = given.pop("counts")
+    config = SimulationConfig(**given)
     return config, values["ri_table"][1] if "ri_table" in values else None
 
 

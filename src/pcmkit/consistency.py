@@ -23,8 +23,7 @@ import numpy as np
 from ._power import _pieces, power_iterate
 from .core import PCMatrix, reciprocal_from_upper
 from .errors import MissingRiError, NoConvergenceError
-# `_ci_cr` lives with the memo slot that derives CI; the simulation imports it from here.
-from .weighting import _ci_cr, _solved, right_eigenvector
+from .weighting import _solved, right_eigenvector
 
 # Discrete judgment scale used for random matrices: 1/9 ... 1/2, 1, 2 ... 9.
 SAATY_SCALE = np.array(
@@ -170,7 +169,7 @@ def consistency_index(matrix: PCMatrix) -> float:
 
 def consistency_ratio(matrix: PCMatrix, ri_table: RiTable | None = None) -> ConsistencyReport:
     """CR report for a matrix; uses the shipped RI table unless given one.
-    CR is CI / RI, with the bits `_ci_cr` gives them."""
+    CR is CI / RI, with the bits `_ci` gives CI."""
     table = ri_table if ri_table is not None else default_ri_table()
     right, ci, n = right_eigenvector(matrix), _solved(matrix)[3], matrix.n
     ri = table.ri(n)

@@ -446,7 +446,8 @@ def format_matrix_text(matrix: PCMatrix, comments: tuple[str, ...] = ()) -> str:
 
 def permute(matrix: PCMatrix, order) -> PCMatrix:
     """Reindex alternatives: entry (i, j) of the result compares order[i] to order[j]."""
-    idx = np.asarray(order, dtype=int)
+    idx = np.asarray(order, dtype=float)  # a non-integral entry matches no index
     if sorted(idx.tolist()) != list(range(matrix.n)):
         raise DimensionMismatchError(f"not a permutation of 0..{matrix.n - 1}: {order!r}")
+    idx = idx.astype(int)
     return PCMatrix(matrix.entries[np.ix_(idx, idx)])

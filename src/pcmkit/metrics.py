@@ -73,15 +73,13 @@ def kendall_tau(u, v) -> float:
 # pure solver noise, so the tie needs a tolerance well below any distance
 # a measurably inconsistent matrix can produce.
 _TIE_EPS = 1e-9
-
-
-def rgm_at_least_as_close(metric: str, to_rgm, to_inverse_left):
-    """Non-strict closer comparison; accepts scalars or aligned arrays."""
-    if metric == "kendall":
-        return to_rgm >= to_inverse_left
-    if metric == "max_ratio":
-        return to_rgm <= to_inverse_left * (1.0 + _TIE_EPS)
-    return to_rgm <= to_inverse_left + _TIE_EPS
+# The rule, one (4, 1) column per constant in METRICS order: the RGM is at least
+# as close when _SIGN * to_rgm <= _SIGN * to_inverse_left * _SCALE + _SHIFT.
+_SIGN, _SCALE, _SHIFT = (np.array(column)[:, None] for column in zip(
+    (1.0, 1.0, _TIE_EPS),         # euclidean: within _TIE_EPS
+    (1.0, 1.0, _TIE_EPS),         # chebyshev: within _TIE_EPS
+    (1.0, 1.0 + _TIE_EPS, 0.0),   # max_ratio: within a factor 1 + _TIE_EPS
+    (-1.0, 1.0, 0.0)))            # kendall: larger is closer, ties exactly
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,7 @@ def comparison_flags(values: np.ndarray, right: np.ndarray,
     combined, rgm))`: closer[m, k] when the RGM of column k is at least as
     close as its inverse-left vector under metric m, top[k] when the right
     and inverse-left vectors of column k rank different alternatives first."""
-    closer = np.array([rgm_at_least_as_close(m, values[mi, 2], values[mi, 0])
-                       for mi, m in enumerate(METRICS)])
+    closer = _SIGN * values[:, 2] <= _SIGN * values[:, 0] * _SCALE + _SHIFT
     top = np.argmax(right, axis=0) != np.argmax(inverse_left, axis=0)
     return closer, top
 
@@ -176,7 +173,7 @@ def compare_methods(matrix: PCMatrix, ri_table: RiTable | None = None) -> Compar
     Bit for bit the record the simulation computes for the same matrix.
     Raises the NonPositiveWeightError of the WeightVector it reads when the
     inverse-left, combined or RGM vector is not positive and finite.  CR is
-    CI / RI, with the bits `_ci_cr` gives them.
+    CI / RI, with the bits `_ci` gives CI.
     """
     table = ri_table if ri_table is not None else default_ri_table()
     right, _ = eigen_system(matrix)

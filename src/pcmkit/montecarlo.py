@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._power import power_iterate
-from .consistency import RiTable, _chunk_sizes, _ci_cr, _ordered_map, default_ri_table
+from .consistency import RiTable, _chunk_sizes, _ordered_map, default_ri_table
 from .core import PCMatrix
 from .errors import NoConvergenceError
 from .metrics import METRICS, comparison_flags, metric_blocks
-from .weighting import _MAX_ITERATIONS, _TOL, _vector_rows
+from .weighting import _MAX_ITERATIONS, _TOL, _ci, _vector_rows
 
 _BATCH = 8192
 
@@ -133,7 +133,8 @@ class CrHistogram:
         `cr` must be a bin edge in [0, cr_cap]: a multiple of bin_width
         below the cap, or the cap itself.  The overflow bucket (CR at or
         above the cap) is never below.  Raises ValueError for any other
-        value, since the histogram cannot split a bin.
+        value, since the histogram cannot split a bin, and for a cell that
+        holds no matrices.
         """
         arr = self.counts[(n, delta)]
         n_bins = len(arr) - 1
@@ -144,6 +145,8 @@ class CrHistogram:
                                                        rel_tol=1e-9, abs_tol=1e-9)):
             raise ValueError(f"cr {cr} is not a bin edge in [0, {self.cr_cap}] "
                              f"(bin width {self.bin_width})")
+        if not arr.any():
+            raise ValueError(f"cell (n={n}, delta={delta}) holds no matrices")
         return float(arr[:upto].sum() / arr.sum())
 
 
@@ -375,7 +378,7 @@ def run_task(config: SimulationConfig, task: SimTask, ri: float) -> TaskPartial:
     if nonconverged:
         wr, inv, combined, rgm, lam = (a[..., ok] for a in (wr, inv, combined, rgm, lam))
 
-    _, cr = _ci_cr(lam, task.n, ri)
+    cr = _ci(lam, task.n) / ri
     nb = config.n_bins
     bins = np.minimum((cr / config.bin_width).astype(np.int64), nb - 1)
     bins = np.where(cr >= config.cr_cap, nb, bins)

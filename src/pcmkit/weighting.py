@@ -60,13 +60,11 @@ _METHODS = ("right-eigenvector", "left-eigenvector", "inverse-left-eigenvector",
             "combined-eigenvector", "row-geometric-mean")
 
 
-def _ci_cr(lam, n: int, ri: float = 1.0):
-    """(CI, CR) of dominant eigenvalues of order-n matrices, for one value
-    or an array of them: CI = (lam - n) / (n - 1), noise-clamped at zero,
-    and CR = CI / RI."""
+def _ci(lam, n: int):
+    """CI of dominant eigenvalues of order-n matrices, for one value or an
+    array of them: (lam - n) / (n - 1), noise-clamped at zero."""
     ci = (lam - n) / (n - 1)
-    ci = np.where(np.abs(ci) < _CI_NOISE_FLOOR, 0.0, ci)
-    return ci, ci / ri
+    return np.where(np.abs(ci) < _CI_NOISE_FLOOR, 0.0, ci)
 
 
 def _rgm_rows(mats: np.ndarray) -> np.ndarray:
@@ -77,28 +75,19 @@ def _rgm_rows(mats: np.ndarray) -> np.ndarray:
     return x / _row_sum(x)
 
 
-def _agree(lam_right, lam_left, n: int):
-    """Whether the eigenvalues of order-n matrices and their transposes agree."""
-    return np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * n * _TOL) * lam_right
-
-
-def _inverse_left_rows(right: np.ndarray, left: np.ndarray):
-    """Unit-sum inverse-left and combined (n, B) vectors from the right and left ones."""
-    inverse_left = 1.0 / left
-    inverse_left /= _row_sum(inverse_left)
-    combined = right * inverse_left
-    combined /= _row_sum(combined)
-    return inverse_left, combined
-
-
 def _vector_rows(mats: np.ndarray, right: np.ndarray, left: np.ndarray,
                  lam_right: np.ndarray, lam_left: np.ndarray):
     """Inverse-left, combined and row-geometric-mean vectors of an (n, n, B)
     stack from its (n, B) right and left vectors and eigenvalues, and whether
-    each matrix's two eigenvalues agree.  Underflow gives no numpy warning."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inverse_left, combined = _inverse_left_rows(right, left)
-    return inverse_left, combined, _rgm_rows(mats), _agree(lam_right, lam_left, len(mats))
+    each matrix's two eigenvalues agree.  An entry that underflows or
+    overflows, as a failed solve's may, gives no numpy warning."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inverse_left = 1.0 / left
+        inverse_left /= _row_sum(inverse_left)
+        combined = right * inverse_left
+        combined /= _row_sum(combined)
+    agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * len(mats) * _TOL) * lam_right
+    return inverse_left, combined, _rgm_rows(mats), agree
 
 
 def _raise(error, *args):
@@ -116,10 +105,8 @@ def _solved(matrix: PCMatrix) -> tuple:
     the inverse-left, combined and RGM WeightVectors, and the right CI.  A
     failure (a run over budget, eigenvalues that disagree, a vector that
     fails the WeightVector checks) is held as a `partial` that raises it, so
-    only a caller that reads it raises.  Only two agreeing converged runs,
-    whose vectors are positive and finite, derive the inverse-left and
-    combined vectors: the solver's errstate is the only one entered.
-    Threads that race on an empty slot each store equal, immutable results.
+    only a caller that reads it raises.  Threads that race on an empty slot
+    each store equal, immutable results.
     """
     if matrix._eigen is None:
         a = matrix.entries
@@ -129,25 +116,22 @@ def _solved(matrix: PCMatrix) -> tuple:
         pair[:, :, 0] = a
         pair[:, :, 1] = a.T
         w, lam, iters, resid, conv = power_iterate(pair, _TOL, _MAX_ITERATIONS)
+        *derived, agree = _vector_rows(a[:, :, None], w[:, :1], w[:, 1:], lam[:1], lam[1:])
         (lam_r, lam_l), iters, resid = lam.tolist(), iters.tolist(), resid.tolist()
         failed = [partial(_raise, NoConvergenceError, iters[k], resid[k]) for k in (0, 1)
                   if not conv[k]]
-        if not failed and not _agree(lam_r, lam_l, n):
+        if not failed and not agree[0]:
             failed.append(partial(_raise, NoConvergenceError, iters[1], resid[1],
                                   f"left/right eigenvalue estimates disagree by "
                                   f"{abs(lam_l - lam_r) / lam_r:.3e} relative"))
-        rows = np.empty((5, n))
-        rows[:2] = w.T
-        rows[2:4] = (np.nan if failed else
-                     np.concatenate(_inverse_left_rows(w[:, :1], w[:, 1:]), 1).T)
-        rows[4] = _rgm_rows(a[:, :, None])[:, 0]
+        rows = np.ascontiguousarray(np.concatenate((w, *derived), 1).T)
         right, left, *vectors = _unit_vectors(rows, _METHODS)
         right = EigenResult(_finished(right), lam_r, iters[0], resid[0]) if conv[0] else failed[0]
         if failed:
             system = vectors[0] = vectors[1] = failed[0]
         else:
             system = (right, EigenResult(_finished(left), lam_r, iters[1], resid[1]))
-        ci = float(_ci_cr(lam_r, n)[0]) if conv[0] else None
+        ci = float(_ci(lam_r, n)) if conv[0] else None
         object.__setattr__(matrix, "_eigen", (right, system, tuple(vectors), ci))
     return matrix._eigen
 
@@ -194,9 +178,9 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
     """Priorities proportional to the geometric mean of each row.
 
     Closed form, no iteration; this is the optimum of the logarithmic
-    least squares problem.  A filled memo slot holds it already, from the
-    same `_rgm_rows` call on the same batch of one; an empty slot stays
-    empty, and the vector is computed afresh.
+    least squares problem.  A filled memo slot holds it already, from
+    `_vector_rows` on the same batch of one; an empty slot stays empty, and
+    the vector is computed afresh by the same `_rgm_rows`.
     """
     if matrix._eigen is None:
         return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0], Normalization.SUM_ONE,

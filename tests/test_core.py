@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmkit import (
+    DimensionMismatchError,
     Normalization,
     NonPositiveEntryError,
     NonPositiveWeightError,
@@ -225,6 +226,17 @@ class TestPermutation:
         p = permute(m, order)
         assert p.n == 5
         assert p[0, 1] == m[order[0], order[1]]
+
+    @pytest.mark.parametrize("order", [[0.9, 1.2, 2.7], [0, 1, 2.5], [float("nan"), 1, 2]])
+    def test_non_integral_order_rejected(self, order):
+        # Truncated to integers, the first two would read as the identity.
+        m = random_reciprocal(3, np.random.default_rng(4))
+        with pytest.raises(DimensionMismatchError, match="not a permutation"):
+            permute(m, order)
+
+    def test_integral_float_order_accepted(self):
+        m = random_reciprocal(3, np.random.default_rng(4))
+        assert np.array_equal(permute(m, [2.0, 0.0, 1.0]).entries, permute(m, [2, 0, 1]).entries)
 
 
 class TestTextFormat:

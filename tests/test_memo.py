@@ -25,7 +25,7 @@ from pcmkit import (
     row_geometric_mean,
     weighting,
 )
-from pcmkit import consistency, core
+from pcmkit import core, montecarlo
 from pcmkit._power import power_iterate
 from pcmkit.cli import main
 from pcmkit.verify import CASES, run_verification
@@ -127,7 +127,7 @@ class TestOneSolvePerMatrix:
 def checks(monkeypatch):
     """Counts the batched vector checks, the CI derivations and every
     WeightVector construction that runs its own checks."""
-    calls = {"vector check": 0, "_ci_cr": 0, "WeightVector": 0}
+    calls = {"vector check": 0, "_ci": 0, "WeightVector": 0}
 
     def counting(key, function):
         def counted(*args, **kwargs):
@@ -137,8 +137,8 @@ def checks(monkeypatch):
 
     monkeypatch.setattr(weighting, "_unit_vectors",
                         counting("vector check", weighting._unit_vectors))
-    for module in (weighting, consistency):
-        monkeypatch.setattr(module, "_ci_cr", counting("_ci_cr", weighting._ci_cr))
+    for module in (weighting, montecarlo):
+        monkeypatch.setattr(module, "_ci", counting("_ci", weighting._ci))
     monkeypatch.setattr(WeightVector, "__post_init__",
                         counting("WeightVector", WeightVector.__post_init__))
     return calls
@@ -191,7 +191,7 @@ class TestOneAnalysisBuildsEachObjectOnce:
         m, *_, report, record = _full_analysis(format_matrix_text(_matrix(seed=n, n=n)))
         assert consistency_index(m) == report.ci and record.cr == report.cr
         assert solves == [2]
-        assert checks == {"vector check": 1, "_ci_cr": 1, "WeightVector": 0}
+        assert checks == {"vector check": 1, "_ci": 1, "WeightVector": 0}
 
 
 class TestNonPositiveVectorRaisesOnlyWhereRead:
@@ -215,14 +215,14 @@ class TestNonPositiveVectorRaisesOnlyWhereRead:
                 return out
             monkeypatch.setattr(weighting, "_rgm_rows", rows)
         else:
-            real = weighting._inverse_left_rows
+            real = weighting._vector_rows
             k = ("inverse_left", "combined").index(name)
 
-            def rows(right, left):
-                out = real(right, left)
+            def rows(*args):
+                out = real(*args)
                 out[k][0] = 0.0
                 return out
-            monkeypatch.setattr(weighting, "_inverse_left_rows", rows)
+            monkeypatch.setattr(weighting, "_vector_rows", rows)
         return name
 
     def test_only_its_getter_and_compare_methods_raise(self, zeroed):

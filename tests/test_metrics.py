@@ -197,6 +197,35 @@ class TestCompareMethods:
             assert -1.0 <= value <= 1.0
 
 
+class TestCloserRuleBoundaries:
+    """`comparison_flags` at each metric's tie threshold and one ulp past it:
+    the distances tie within 1e-9, the max ratio within a factor 1 + 1e-9,
+    and Kendall tau, where larger is closer, only when equal."""
+
+    @staticmethod
+    def _closer(metric: str, to_inverse_left: float, to_rgm: float) -> bool:
+        mi = METRICS.index(metric)
+        values = np.ones((len(METRICS), 3, 1))
+        values[mi, 0, 0], values[mi, 2, 0] = to_inverse_left, to_rgm
+        closer, _ = comparison_flags(values, np.ones((3, 1)), np.ones((3, 1)))
+        return bool(closer[mi, 0])
+
+    @pytest.mark.parametrize("metric, to_inverse_left, threshold, past", [
+        ("euclidean", 0.0, 1e-9, np.inf),
+        ("euclidean", 0.25, 0.25 + 1e-9, np.inf),
+        ("chebyshev", 0.0, 1e-9, np.inf),
+        ("chebyshev", 0.125, 0.125 + 1e-9, np.inf),
+        ("max_ratio", 1.0, 1.0 + 1e-9, np.inf),
+        ("max_ratio", 1.5, 1.5 * (1.0 + 1e-9), np.inf),
+        ("kendall", 0.6, 0.6, -np.inf),
+        ("kendall", -1.0, -1.0, -np.inf),
+    ])
+    def test_threshold_is_closer_and_one_ulp_past_is_not(self, metric, to_inverse_left,
+                                                         threshold, past):
+        assert self._closer(metric, to_inverse_left, threshold)
+        assert not self._closer(metric, to_inverse_left, np.nextafter(threshold, past))
+
+
 def _reference_row(a: np.ndarray, b: np.ndarray) -> list[float]:
     """The four metrics of one pair of unit-sum rows, pair by pair."""
     n = a.shape[0]

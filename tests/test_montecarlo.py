@@ -23,7 +23,7 @@ from pcmkit import (
     validate,
 )
 from pcmkit import montecarlo
-from pcmkit.consistency import SAATY_SCALE, _ci_cr
+from pcmkit.consistency import SAATY_SCALE
 from pcmkit.core import ReciprocityPolicy, reciprocal_from_upper
 from pcmkit.metrics import METRICS, comparison_flags, metric_blocks
 from pcmkit.montecarlo import (
@@ -35,6 +35,7 @@ from pcmkit.montecarlo import (
     run_task,
     simulation_tasks,
 )
+from pcmkit.weighting import _ci
 
 from conftest import assert_columns_match_reference, reference_bins
 
@@ -369,7 +370,7 @@ class TestBatchMatchesScalarPath:
             assert ok.all()
             values = metric_blocks(wr, (inv, combined, rgm))
             closer, top = comparison_flags(values, wr, inv)
-            _, cr = _ci_cr(lam, n, table.ri(n))
+            cr = _ci(lam, n) / table.ri(n)
             iu, ju = np.triu_indices(n, 1)
             any_reversal = np.any(np.sign(wr[iu] - wr[ju])
                                   * np.sign(inv[iu] - inv[ju]) < 0, axis=0)
@@ -443,6 +444,11 @@ class TestFractionBelow:
         assert histogram.fraction_below(4, 1.0, 0.1) == 10 / 15
         with pytest.raises(ValueError):
             histogram.fraction_below(4, 1.0, 0.12)
+
+    def test_cell_without_matrices_rejected(self):
+        histogram = CrHistogram(0.005, 0.5, {(4, 1.0): np.zeros(101, dtype=np.int64)})
+        with pytest.raises(ValueError, match=r"cell \(n=4, delta=1.0\) holds no matrices"):
+            histogram.fraction_below(4, 1.0, 0.1)
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from pcmkit import (
     aggregate_matrices_geometric,
     aggregate_priorities_geometric,
     combined_eigenvector,
+    compare_methods,
     consistent_from_weights,
     eigen_system,
     inverse_left_eigenvector,
@@ -80,6 +81,15 @@ class TestRightEigenvector:
                 right_eigenvector(m)
             with pytest.raises(NoConvergenceError):
                 eigen_system(m)
+
+    def test_overflowing_inverse_of_a_failed_left_vector_gives_no_warning(self):
+        m = PCMatrix(np.array([[1.0, 1.7e308, 1.7e308], [1 / 1.7e308, 1.0, 1.7e308],
+                               [1 / 1.7e308, 1 / 1.7e308, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for getter in (right_eigenvector, inverse_left_eigenvector, compare_methods):
+                with pytest.raises(NoConvergenceError):
+                    getter(m)
 
     def test_matches_repeated_squaring_oracle(self):
         rng = np.random.default_rng(42)
