@@ -73,13 +73,10 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
         total, tail = x[0] + x[1], x[2:]
     else:
         body = n - n % 8
-        if body == 8:  # the accumulators are rows 0-7 themselves
-            pairs = x[0:8:2] + x[1:8:2]
-        else:
-            acc = x[:8] + x[8:16]
-            for lo in range(16, body, 8):
-                acc += x[lo:lo + 8]
-            pairs = acc[0::2] + acc[1::2]
+        acc = x[:8] + x[8:16] if body > 8 else x[:8]  # rows 0-7 themselves, not written
+        for lo in range(16, body, 8):
+            acc += x[lo:lo + 8]
+        pairs = acc[0::2] + acc[1::2]
         pairs[0::2] += pairs[1::2]
         total, tail = pairs[0] + pairs[2], x[body:]
     for row in tail:

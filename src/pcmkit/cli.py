@@ -384,9 +384,7 @@ def cmd_ri_estimate(args) -> int:
         table.to_file(args.out)
         print(f"wrote {len(table.orders)} random-index entries to {args.out}")
     else:
-        for n in table.orders:
-            p = table.provenance_of(n)
-            print(f"{n} {table.ri(n):.12g} {p.samples} {p.seed}")
+        print("\n".join(table.lines()))
     return 0
 
 

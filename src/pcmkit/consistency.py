@@ -23,7 +23,7 @@ import numpy as np
 from ._power import _pieces, power_iterate
 from .core import PCMatrix, reciprocal_from_upper
 from .errors import MissingRiError, NoConvergenceError
-from .weighting import _solved, right_eigenvector
+from .weighting import consistency_index, right_eigenvector
 
 # Discrete judgment scale used for random matrices: 1/9 ... 1/2, 1, 2 ... 9.
 SAATY_SCALE = np.array(
@@ -127,12 +127,14 @@ class RiTable:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
+    def lines(self) -> list[str]:
+        """The `n ri samples seed` line of every order, in order."""
+        return [f"{n} {self.values[n]:.12g} {p.samples or 0} {p.seed or 0}"
+                for n, p in sorted(self.provenance.items())]
+
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# random index table: n ri samples seed\n")
-            for n in self.orders:
-                p = self.provenance[n]
-                fh.write(f"{n} {self.values[n]:.12g} {p.samples or 0} {p.seed or 0}\n")
+            print("# random index table: n ri samples seed", *self.lines(), sep="\n", file=fh)
 
 
 _default_table: RiTable | None = None
@@ -161,17 +163,11 @@ class ConsistencyReport:
     acceptable: bool
 
 
-def consistency_index(matrix: PCMatrix) -> float:
-    """CI = (lambda_max - n) / (n - 1), noise-clamped at zero."""
-    right_eigenvector(matrix)  # raises where the right run failed
-    return _solved(matrix)[3]
-
-
 def consistency_ratio(matrix: PCMatrix, ri_table: RiTable | None = None) -> ConsistencyReport:
     """CR report for a matrix; uses the shipped RI table unless given one.
     CR is CI / RI, with the bits `_ci` gives CI."""
     table = ri_table if ri_table is not None else default_ri_table()
-    right, ci, n = right_eigenvector(matrix), _solved(matrix)[3], matrix.n
+    right, ci, n = right_eigenvector(matrix), consistency_index(matrix), matrix.n
     ri = table.ri(n)
     cr = float(ci / ri)
     return ConsistencyReport(
@@ -187,8 +183,6 @@ def _ri_chunk_sum(n: int, count: int, seed: int, chunk_index: int, scale: str) -
     block by block, the rows get the values of one whole-chunk draw.  The
     draw's values and the piece's stack are written into two buffers that
     every piece of the chunk reuses, so no chunk-sized array is made."""
-    if scale not in ("saaty", "log-uniform"):
-        raise ValueError(f"unknown scale {scale!r}; expected 'saaty' or 'log-uniform'")
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     pairs = n * (n - 1) // 2
     pieces = _pieces(n, count)
@@ -289,6 +283,8 @@ def _ri_chunks(n: int, samples: int, seed: int, scale: str) -> list[tuple]:
         raise ValueError(f"random index needs n >= 3, got {n}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a random index, got {samples}")
+    if scale not in ("saaty", "log-uniform"):
+        raise ValueError(f"unknown scale {scale!r}; expected 'saaty' or 'log-uniform'")
     return [(n, size, seed, k, scale) for k, size in enumerate(_chunk_sizes(samples, _RI_CHUNK))]
 
 

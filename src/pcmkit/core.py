@@ -158,15 +158,10 @@ def _require_vector(p: np.ndarray, what: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Normalized priority vector with optional provenance tag.
-
-    `method` records which derivation produced the vector (for display
-    only).
-    """
+    """Normalized priority vector on a unit-sum or percentage scale."""
 
     priorities: np.ndarray
     normalization: Normalization = Normalization.SUM_ONE
-    method: str | None = None
 
     def __post_init__(self):
         p = np.asarray(self.priorities, dtype=float)
@@ -187,7 +182,7 @@ class WeightVector:
         if target is self.normalization:
             return self
         scaled = self.priorities * (target.value / self.normalization.value)
-        return WeightVector(scaled, target, self.method)
+        return WeightVector(scaled, target)
 
     def unit(self) -> np.ndarray:
         """Priorities on the unit-sum scale as a plain array."""
@@ -196,7 +191,7 @@ class WeightVector:
         return self.priorities / self.normalization.value
 
 
-def _unit_vectors(rows: np.ndarray, methods) -> list:
+def _unit_vectors(rows: np.ndarray) -> list:
     """Unit-sum WeightVectors of the rows of a C-contiguous (k, n) array, made
     read-only, checked in one pass.  Each row sums in a lone vector's order,
     so it gets WeightVector's verdict; one that fails comes back as the
@@ -204,12 +199,12 @@ def _unit_vectors(rows: np.ndarray, methods) -> list:
     rows.flags.writeable = False
     ok = _all(np.isfinite(rows) & (rows > 0.0), axis=1) & (np.abs(_sum(rows, axis=1) - 1.0) <= 1e-9)
     vectors = []
-    for row, method, good in zip(rows, methods, ok.tolist()):
+    for row, good in zip(rows, ok.tolist()):
         if good:
             v = WeightVector.__new__(WeightVector)
-            v.__dict__.update(priorities=row, normalization=Normalization.SUM_ONE, method=method)
+            v.__dict__.update(priorities=row, normalization=Normalization.SUM_ONE)
         else:
-            v = partial(WeightVector, row, Normalization.SUM_ONE, method)
+            v = partial(WeightVector, row, Normalization.SUM_ONE)
         vectors.append(v)
     return vectors
 
@@ -264,13 +259,11 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
         raise NonSquareError(f"validation requires order >= 3, got n = {n}")
 
     if policy.mode is ReciprocityMode.REPAIR_FROM_UPPER:
-        iu, ju = _upper_indices(n)
-        upper = a[iu, ju]
-        ok = np.isfinite(upper) & (upper > 0.0)
-        if not _all(ok):
-            k = int(np.argmax(~ok))
-            raise NonPositiveEntryError(int(iu[k]), int(ju[k]), float(upper[k]))
-        return PCMatrix(reciprocal_from_upper(upper, n))
+        # PCMatrix names the first bad entry in row-major order, a bad upper one before its
+        # mirror; the mirror of a zero or subnormal entry is inf, with no numpy warning.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a = reciprocal_from_upper(a[_upper_indices(n)], n)
+        return PCMatrix(a)
 
     return PCMatrix(a, policy.tolerance)
 
@@ -297,12 +290,11 @@ def transpose(matrix: PCMatrix) -> PCMatrix:
     return PCMatrix(matrix.entries.T.copy())
 
 
-def normalize(raw, target: Normalization = Normalization.SUM_ONE,
-              method: str | None = None) -> WeightVector:
+def normalize(raw, target: Normalization = Normalization.SUM_ONE) -> WeightVector:
     """Scale positive components so they sum to the target total."""
     p = np.asarray(raw, dtype=float)
     total = _require_vector(p, "components")
-    return WeightVector(p * (target.value / total), target, method)
+    return WeightVector(p * (target.value / total), target)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +438,10 @@ def format_matrix_text(matrix: PCMatrix, comments: tuple[str, ...] = ()) -> str:
 
 def permute(matrix: PCMatrix, order) -> PCMatrix:
     """Reindex alternatives: entry (i, j) of the result compares order[i] to order[j]."""
-    idx = np.asarray(order, dtype=float)  # a non-integral entry matches no index
-    if sorted(idx.tolist()) != list(range(matrix.n)):
+    # numpy reads bools and numeric strings as indices; a non-integral entry matches none.
+    idx = list(order)
+    if (any(isinstance(k, (bool, np.bool_, str, bytes)) for k in idx)
+            or sorted(np.asarray(idx, dtype=float).tolist()) != list(range(matrix.n))):
         raise DimensionMismatchError(f"not a permutation of 0..{matrix.n - 1}: {order!r}")
-    idx = idx.astype(int)
+    idx = np.asarray(idx, dtype=int)
     return PCMatrix(matrix.entries[np.ix_(idx, idx)])

@@ -17,7 +17,8 @@ from ._power import _max, _row_sum, _sum
 from .consistency import RiTable, default_ri_table
 from .core import PCMatrix, WeightVector, _require_vector, _upper_indices
 from .errors import DimensionMismatchError
-from .weighting import _finished, _solved, eigen_system
+from .weighting import (combined_eigenvector, consistency_index, eigen_system,
+                        inverse_left_eigenvector, row_geometric_mean)
 
 METRICS = ("euclidean", "chebyshev", "max_ratio", "kendall")
 
@@ -177,7 +178,7 @@ def compare_methods(matrix: PCMatrix, ri_table: RiTable | None = None) -> Compar
     """
     table = ri_table if ri_table is not None else default_ri_table()
     right, _ = eigen_system(matrix)
-    _, _, vectors, ci = _solved(matrix)
-    inverse_left, combined, rgm = (_finished(v).priorities for v in vectors)
+    inverse_left, combined, rgm = (vector(matrix).priorities for vector in (
+        inverse_left_eigenvector, combined_eigenvector, row_geometric_mean))
     return record_from_vectors(right.weights.priorities, inverse_left, combined, rgm,
-                               float(ci / table.ri(matrix.n)))
+                               float(consistency_index(matrix) / table.ri(matrix.n)))

@@ -158,26 +158,18 @@ def _aggregation(ctx: _CaseContext, partner_text: str, aip_greater: int, aip_sma
             f"priority aggregation keeps {aip_greater} > {aip_smaller}: {ordered}")
 
 
-# Keyed by each evaluator's name without its underscore.
-_EVALUATORS = {f.__name__[1:]: f for f in (
-    _weights, _cr_approx, _cr_above, _pair_flip, _top_flip, _opposite_order, _gap,
-    _tiny_distance_reversal, _inverse_left_equals_right, _aggregation)}
-
-
 class Check:
-    """One published quantity: the evaluator of `kind` in `_EVALUATORS`,
-    called with the case context and these arguments."""
+    """One published quantity: an evaluator above, called with the case
+    context and these arguments."""
 
-    __slots__ = ("kind", "args", "kwargs")
+    __slots__ = ("evaluator", "args", "kwargs")
 
-    def __init__(self, kind: str, *args, **kwargs):
-        if kind not in _EVALUATORS:
-            raise ValueError(f"unknown check kind {kind!r}")
-        self.kind, self.args, self.kwargs = kind, args, kwargs
+    def __init__(self, evaluator, *args, **kwargs):
+        self.evaluator, self.args, self.kwargs = evaluator, args, kwargs
 
     def evaluate(self, ctx: _CaseContext) -> tuple[str, bool, str]:
         """(label, passed, detail)."""
-        return _EVALUATORS[self.kind](ctx, *self.args, **self.kwargs)
+        return self.evaluator(ctx, *self.args, **self.kwargs)
 
 
 @dataclass(frozen=True)
@@ -280,8 +272,8 @@ CASES: tuple[VerifyCase, ...] = (
         source="group decision example, judge 1 of an exactly opposed pair",
         matrix_text=_JUDGE_1,
         checks=(
-            Check("weights", "right", (32.42, 35.02, 28.21, 4.35), 0.005),
-            Check("aggregation", _JUDGE_2, aip_greater=2, aip_smaller=1),
+            Check(_weights, "right", (32.42, 35.02, 28.21, 4.35), 0.005),
+            Check(_aggregation, _JUDGE_2, aip_greater=2, aip_smaller=1),
         ),
     ),
     VerifyCase(
@@ -289,7 +281,7 @@ CASES: tuple[VerifyCase, ...] = (
         source="group decision example, judge 2 (transpose of judge 1)",
         matrix_text=_JUDGE_2,
         checks=(
-            Check("weights", "right", (8.86, 9.05, 11.04, 71.05), 0.005),
+            Check(_weights, "right", (8.86, 9.05, 11.04, 71.05), 0.005),
         ),
     ),
     VerifyCase(
@@ -297,11 +289,11 @@ CASES: tuple[VerifyCase, ...] = (
         source="Johnson, Beine & Wang (1979)",
         matrix_text=_FOUR_ALT,
         checks=(
-            Check("weights", "right", (18.44, 15.19, 43.64, 22.73), 0.005),
-            Check("weights", "left", (24.82, 38.78, 10.49, 25.91), 0.005),
-            Check("weights", "inverse-left", (20.14, 12.89, 47.67, 19.29), 0.005),
-            Check("cr_approx", 0.331, 0.01),
-            Check("pair_flip", 1, 4),
+            Check(_weights, "right", (18.44, 15.19, 43.64, 22.73), 0.005),
+            Check(_weights, "left", (24.82, 38.78, 10.49, 25.91), 0.005),
+            Check(_weights, "inverse-left", (20.14, 12.89, 47.67, 19.29), 0.005),
+            Check(_cr_approx, 0.331, 0.01),
+            Check(_pair_flip, 1, 4),
         ),
     ),
     VerifyCase(
@@ -309,11 +301,11 @@ CASES: tuple[VerifyCase, ...] = (
         source="DeTurck (1987)",
         matrix_text=_RECIPROCAL_PAIR,
         checks=(
-            Check("weights", "right", (100 * 2 / 9, 100 * 5 / 18, 100 * 4 / 9, 100 / 18),
+            Check(_weights, "right", (100 * 2 / 9, 100 * 5 / 18, 100 * 4 / 9, 100 / 18),
                   1e-6, relative=True),
-            Check("weights", "left", _RP_LEFT, 1e-6, relative=True),
-            Check("inverse_left_equals_right", 1e-6),
-            Check("cr_above", 0.1),
+            Check(_weights, "left", _RP_LEFT, 1e-6, relative=True),
+            Check(_inverse_left_equals_right, 1e-6),
+            Check(_cr_above, 0.1),
         ),
     ),
     VerifyCase(
@@ -321,10 +313,10 @@ CASES: tuple[VerifyCase, ...] = (
         source="Dodd, Donegan & McMaster (1995)",
         matrix_text=_FIVE_ALT,
         checks=(
-            Check("weights", "right", (36.5652, 38.9564, 16.7155, 3.4693, 4.2936), 0.0005),
-            Check("weights", "inverse-left", (40.6431, 36.4208, 15.0669, 3.4391, 4.4302), 0.0005),
-            Check("cr_approx", 0.082, 0.005),
-            Check("top_flip", right_top=2, inverse_left_top=1),
+            Check(_weights, "right", (36.5652, 38.9564, 16.7155, 3.4693, 4.2936), 0.0005),
+            Check(_weights, "inverse-left", (40.6431, 36.4208, 15.0669, 3.4391, 4.4302), 0.0005),
+            Check(_cr_approx, 0.082, 0.005),
+            Check(_top_flip, right_top=2, inverse_left_top=1),
         ),
     ),
     VerifyCase(
@@ -332,11 +324,11 @@ CASES: tuple[VerifyCase, ...] = (
         source="randomly found example: reversal at near-zero inconsistency",
         matrix_text=_NEAR_CONSISTENT,
         checks=(
-            Check("weights", "right", (15.042, 30.274, 15.037, 39.647), 0.005),
-            Check("weights", "inverse-left", (15.036, 30.281, 15.049, 39.635), 0.005),
-            Check("cr_approx", 0.0007, 0.0005),
-            Check("pair_flip", 1, 3),
-            Check("tiny_distance_reversal", euclidean_below=0.001),
+            Check(_weights, "right", (15.042, 30.274, 15.037, 39.647), 0.005),
+            Check(_weights, "inverse-left", (15.036, 30.281, 15.049, 39.635), 0.005),
+            Check(_cr_approx, 0.0007, 0.0005),
+            Check(_pair_flip, 1, 3),
+            Check(_tiny_distance_reversal, euclidean_below=0.001),
         ),
     ),
     VerifyCase(
@@ -344,10 +336,10 @@ CASES: tuple[VerifyCase, ...] = (
         source="randomly found example: exactly opposite rankings",
         matrix_text=_FULL_REVERSAL,
         checks=(
-            Check("weights", "right", (19.75, 19.16, 20.85, 19.53, 20.71), 0.005),
-            Check("weights", "inverse-left", (20.25, 20.55, 19.31, 20.27, 19.62), 0.005),
-            Check("cr_approx", 0.078, 0.005),
-            Check("opposite_order", (3, 5, 1, 4, 2), (2, 4, 1, 5, 3)),
+            Check(_weights, "right", (19.75, 19.16, 20.85, 19.53, 20.71), 0.005),
+            Check(_weights, "inverse-left", (20.25, 20.55, 19.31, 20.27, 19.62), 0.005),
+            Check(_cr_approx, 0.078, 0.005),
+            Check(_opposite_order, (3, 5, 1, 4, 2), (2, 4, 1, 5, 3)),
         ),
     ),
     VerifyCase(
@@ -355,11 +347,11 @@ CASES: tuple[VerifyCase, ...] = (
         source="randomly found example: top reversal between distant priorities",
         matrix_text=_DISTANT_REVERSAL,
         checks=(
-            Check("weights", "right", (15.26, 33.23, 7.74, 5.68, 38.08), 0.005),
-            Check("weights", "inverse-left", (15.29, 37.84, 8.55, 4.93, 33.39), 0.005),
-            Check("cr_approx", 0.0993, 0.003),
-            Check("top_flip", right_top=5, inverse_left_top=2),
-            Check("gap", 2, 5, expected_right=4.85, expected_inverse_left=4.44, tolerance=0.05),
+            Check(_weights, "right", (15.26, 33.23, 7.74, 5.68, 38.08), 0.005),
+            Check(_weights, "inverse-left", (15.29, 37.84, 8.55, 4.93, 33.39), 0.005),
+            Check(_cr_approx, 0.0993, 0.003),
+            Check(_top_flip, right_top=5, inverse_left_top=2),
+            Check(_gap, 2, 5, expected_right=4.85, expected_inverse_left=4.44, tolerance=0.05),
         ),
     ),
 )

@@ -55,11 +55,6 @@ class EigenResult:
     residual: float
 
 
-# The `method` tags of a memo slot's five vectors, in the order they are checked.
-_METHODS = ("right-eigenvector", "left-eigenvector", "inverse-left-eigenvector",
-            "combined-eigenvector", "row-geometric-mean")
-
-
 def _ci(lam, n: int):
     """CI of dominant eigenvalues of order-n matrices, for one value or an
     array of them: (lam - n) / (n - 1), noise-clamped at zero."""
@@ -105,7 +100,8 @@ def _solved(matrix: PCMatrix) -> tuple:
     the inverse-left, combined and RGM WeightVectors, and the right CI.  A
     failure (a run over budget, eigenvalues that disagree, a vector that
     fails the WeightVector checks) is held as a `partial` that raises it, so
-    only a caller that reads it raises.  Threads that race on an empty slot
+    only a caller that reads it raises; CI holds the right run's failure.
+    Only the getters of this module read the slot.  Threads that race on an empty slot
     each store equal, immutable results.
     """
     if matrix._eigen is None:
@@ -125,13 +121,13 @@ def _solved(matrix: PCMatrix) -> tuple:
                                   f"left/right eigenvalue estimates disagree by "
                                   f"{abs(lam_l - lam_r) / lam_r:.3e} relative"))
         rows = np.ascontiguousarray(np.concatenate((w, *derived), 1).T)
-        right, left, *vectors = _unit_vectors(rows, _METHODS)
+        right, left, *vectors = _unit_vectors(rows)
         right = EigenResult(_finished(right), lam_r, iters[0], resid[0]) if conv[0] else failed[0]
         if failed:
             system = vectors[0] = vectors[1] = failed[0]
         else:
             system = (right, EigenResult(_finished(left), lam_r, iters[1], resid[1]))
-        ci = float(_ci(lam_r, n)) if conv[0] else None
+        ci = float(_ci(lam_r, n)) if conv[0] else right
         object.__setattr__(matrix, "_eigen", (right, system, tuple(vectors), ci))
     return matrix._eigen
 
@@ -183,9 +179,13 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
     the vector is computed afresh by the same `_rgm_rows`.
     """
     if matrix._eigen is None:
-        return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0], Normalization.SUM_ONE,
-                            "row-geometric-mean")
+        return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0], Normalization.SUM_ONE)
     return _finished(matrix._eigen[2][2])
+
+
+def consistency_index(matrix: PCMatrix) -> float:
+    """CI = (lambda_max - n) / (n - 1), noise-clamped at zero."""
+    return _finished(_solved(matrix)[3])
 
 
 def aggregate_matrices_geometric(matrices) -> PCMatrix:
@@ -216,4 +216,4 @@ def aggregate_priorities_geometric(vectors) -> WeightVector:
         if v.n != n:
             raise DimensionMismatchError(f"vector lengths differ: {v.n} != {n}")
     mean_log = np.mean([np.log(v.unit()) for v in vecs], axis=0)
-    return normalize(np.exp(mean_log), Normalization.SUM_ONE, "aggregate-priorities")
+    return normalize(np.exp(mean_log), Normalization.SUM_ONE)

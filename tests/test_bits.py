@@ -59,8 +59,26 @@ def test_output_diff_shows_changed_lines_only():
 
 def test_single_runs_run_every_command_on_every_file():
     assert bits.single_runs(["a.txt", "b.txt"]) == [
-        ["weights", "--method", "all", "a.txt"], ["consistency", "a.txt"], ["compare", "a.txt"],
-        ["weights", "--method", "all", "b.txt"], ["consistency", "b.txt"], ["compare", "b.txt"]]
+        [*command, name] for name in ("a.txt", "b.txt") for command in (
+            ["weights", "--method", "all"], ["weights", "--method", "all", "--repair"],
+            ["consistency"], ["compare"])]
+
+
+def test_other_runs_aggregate_the_opposed_judges_and_cover_ri_and_verify(tmp_path):
+    judges = [str(tmp_path / "verify_0_printed.txt"), str(tmp_path / "verify_1_printed.txt")]
+    assert bits.other_runs(tmp_path) == [
+        ["aggregate", *judges, "--mode", "aij"],
+        ["aggregate", *judges, "--mode", "aip", "--method", "rgm"],
+        ["ri-estimate", "--orders", "3-6", "--samples", "4000"],
+        ["verify"]]
+
+
+def test_untimed_drops_only_the_time_of_the_verify_summary():
+    output = ("exit 0\nPASS  a :: CR = 0.1 within 0.01  (CR 0.10000)\n"
+              "23/23 checks passed in 0.031s\n")
+    assert bits.untimed(output) == output.replace(" in 0.031s", "")
+    assert bits.untimed(output.replace("0.031", "1.250")) == bits.untimed(output)
+    assert bits.untimed("exit 0\n3 0.52 4000 3\n") == "exit 0\n3 0.52 4000 3\n"
 
 
 def test_ri_runs_cover_every_order_chunking_scale_and_worker_count():

@@ -636,6 +636,16 @@ class TestRiEstimateCommand:
         table = RiTable.from_file(out)
         assert table.orders == (3, 4)
 
+    def test_stdout_equals_the_table_file_after_its_header(self, tmp_path, capsys):
+        argv = ["ri-estimate", "--orders", "3-5", "--samples", "1000", "--seed", "0"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "ri.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines(keepends=True)
+        assert header == "# random index table: n ri samples seed\n"
+        assert printed == "".join(lines) and len(lines) == 3
+
     def test_bad_order_spec_exits_2(self, capsys):
         assert main(["ri-estimate", "--orders", "x", "--samples", "1000"]) == 2
 

@@ -28,6 +28,8 @@ from pcmkit.core import STRICT_FILE_POLICY
 
 from conftest import random_reciprocal
 
+REPAIR = ReciprocityPolicy(mode=ReciprocityMode.REPAIR_FROM_UPPER)
+
 M1_TEXT = """
 4
 1       0.4759  0.9832  0.4025
@@ -69,6 +71,23 @@ class TestValidate:
         assert m[1, 0] == 1.0 / 2.0
         assert m[2, 0] == 1.0 / 3.0
         assert m[2, 1] == 1.0 / 5.0
+
+    @pytest.mark.parametrize("entry, value", [((0, 2), 0.0), ((1, 2), -3.0), ((0, 1), np.inf),
+                                              ((1, 2), np.nan)])
+    def test_repair_names_the_bad_upper_entry(self, entry, value):
+        raw = np.ones((3, 3))
+        raw[entry] = value
+        raw[2, 0] = 0.0  # rebuilt from its mirror, so never named
+        with pytest.raises(NonPositiveEntryError) as err:
+            validate(raw, REPAIR)
+        assert (err.value.row, err.value.col) == entry
+        assert np.array_equal(err.value.value, value, equal_nan=True)
+
+    def test_repair_of_a_subnormal_entry_names_its_mirror_without_a_warning(self):
+        # 1 / 1e-320 overflows to inf; no RuntimeWarning escapes.
+        with pytest.raises(NonPositiveEntryError) as err:
+            validate([[1, 1e-320, 1], [1, 1, 1], [1, 1, 1]], REPAIR)
+        assert (err.value.row, err.value.col, err.value.value) == (1, 0, np.inf)
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareError):
@@ -237,6 +256,21 @@ class TestPermutation:
     def test_integral_float_order_accepted(self):
         m = random_reciprocal(3, np.random.default_rng(4))
         assert np.array_equal(permute(m, [2.0, 0.0, 1.0]).entries, permute(m, [2, 0, 1]).entries)
+
+    def test_numpy_integer_order_accepted(self):
+        m = random_reciprocal(3, np.random.default_rng(4))
+        for dtype in (np.int32, np.int64, np.uint8):
+            assert np.array_equal(permute(m, np.array([2, 0, 1], dtype=dtype)).entries,
+                                  permute(m, [2, 0, 1]).entries)
+
+    @pytest.mark.parametrize("order", [["2", "0", "1"], np.array(["2", "0", "1"]),
+                                       [b"2", b"0", b"1"], [True, False, 2],
+                                       [np.True_, np.False_, 2]])
+    def test_string_or_bool_order_rejected(self, order):
+        # numpy parses each of these as the indices 2, 0, 1 or 1, 0, 2.
+        m = random_reciprocal(3, np.random.default_rng(4))
+        with pytest.raises(DimensionMismatchError, match="not a permutation"):
+            permute(m, order)
 
 
 class TestTextFormat:

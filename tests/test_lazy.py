@@ -156,6 +156,11 @@ class TestDeferredImportsChangeNothing:
         with pytest.raises(ValueError, match=message):
             build_ri_table(orders, samples, 1, workers=2)
 
+    def test_a_bad_scale_is_rejected_before_any_worker_starts(self, started):
+        with pytest.raises(ValueError, match="unknown scale 'bad'"):
+            build_ri_table([3, 4], 40_000, 1, scale="bad", workers=2)
+        assert started == []
+
 
 def _simulation(tasks: int, workers: int):
     """A one-cell simulation of `tasks` batches, the last one of 50 matrices."""

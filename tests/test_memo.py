@@ -25,7 +25,7 @@ from pcmkit import (
     row_geometric_mean,
     weighting,
 )
-from pcmkit import core, montecarlo
+from pcmkit import core, montecarlo, verify
 from pcmkit._power import power_iterate
 from pcmkit.cli import main
 from pcmkit.verify import CASES, run_verification
@@ -359,7 +359,8 @@ class TestCliSolvesOncePerMatrix:
 
 class TestVerifierSolvesOncePerMatrix:
     def test_every_run_solves_each_matrix_once(self, solves):
-        aggregations = sum(c.kind == "aggregation" for case in CASES for c in case.checks)
+        aggregations = sum(c.evaluator is verify._aggregation
+                           for case in CASES for c in case.checks)
         for _ in range(2):
             solves.clear()
             assert run_verification().all_passed

@@ -1,4 +1,4 @@
-"""Check that a change leaves every simulation and single-matrix output bit-identical.
+"""Check that a change leaves every simulation and CLI output bit-identical.
 
 Exports a commit (the parent of a change, by default HEAD) with
 `git archive` into a temporary directory, then runs
@@ -13,11 +13,14 @@ deltas 1, 2, 3, 2048 matrices each) and dims 3, 4, 5, 6, 9, 12, 15, 20, 40
 x deltas 0.5, 1, 2, 3, where orders 20 and 40 make batches of several
 power-iteration pieces.
 
-Then it runs `weights --method all`, `consistency` and `compare` on a set
-of matrix files in both trees, and every run's exit code, stdout and
-stderr must be the same.  The files are written once, by the export: the
-8 published matrices of `verify`, each as printed and as reconciled, and
-one `generate` matrix (delta 2) of each order 3-15.
+Then it runs `weights --method all` (with and without `--repair`),
+`consistency` and `compare` on a set of matrix files in both trees, then
+`aggregate --mode aij` and `aggregate --mode aip --method rgm` on the two
+opposed judges of `verify`, `ri-estimate --orders 3-6 --samples 4000` and
+`verify`, and every run's exit code, stdout and stderr must be the same,
+but for the time `verify` reports.  The files are written once, by the
+export: the 8 published matrices of `verify`, each as printed and as
+reconciled, and one `generate` matrix (delta 2) of each order 3-15.
 
 Last, it prints `float.hex` of `estimate_random_index` in both trees, for
 orders 3-15 at 4,000 samples (one chunk) and 45,000 (three, the last one
@@ -37,6 +40,7 @@ import argparse
 import difflib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -80,7 +84,8 @@ def csv_diff(before: Path, after: Path) -> list[str]:
 
 
 # The single-matrix commands, each run on every matrix file.
-SINGLE = (("weights", "--method", "all"), ("consistency",), ("compare",))
+SINGLE = (("weights", "--method", "all"), ("weights", "--method", "all", "--repair"),
+          ("consistency",), ("compare",))
 
 # Writes the `verify` matrices into the directory argv[1], as printed and
 # as reconciled.
@@ -120,6 +125,22 @@ def single_runs(files) -> list[list[str]]:
     return [[*command, str(f)] for f in files for command in SINGLE]
 
 
+def other_runs(matrices: Path) -> list[list[str]]:
+    """The CLI arguments of the runs on no single file: both aggregations of
+    the opposed judges (the first two `verify` cases, as printed), a
+    one-chunk RI table on stdout, and `verify`."""
+    judges = [str(matrices / f"verify_{k}_printed.txt") for k in (0, 1)]
+    return [["aggregate", *judges, "--mode", "aij"],
+            ["aggregate", *judges, "--mode", "aip", "--method", "rgm"],
+            ["ri-estimate", "--orders", "3-6", "--samples", "4000"],
+            ["verify"]]
+
+
+def untimed(output: str) -> str:
+    """`output` with the time of a `verify` summary line taken out."""
+    return re.sub(r"^(\d+/\d+ checks passed) in [0-9.]+s$", r"\1", output, flags=re.M)
+
+
 def pcmkit(tree: Path, args: list[str], **kwargs) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run([sys.executable, *args], cwd=tree, env=env, **kwargs)
@@ -145,9 +166,9 @@ def matrix_files(tree: Path, into: Path) -> list[Path]:
 
 
 def single_output(tree: Path, args: list[str]) -> str:
-    """Exit code, stdout and stderr of one CLI run in `tree`."""
+    """Exit code, stdout and stderr of one CLI run in `tree`, untimed."""
     proc = pcmkit(tree, ["-m", "pcmkit.cli", *args], capture_output=True, text=True)
-    return f"exit {proc.returncode}\n{proc.stdout}--- stderr\n{proc.stderr}"
+    return untimed(f"exit {proc.returncode}\n{proc.stdout}--- stderr\n{proc.stderr}")
 
 
 def report(what: str, found: list[str], sha: str) -> int:
@@ -184,13 +205,12 @@ def main(argv=None) -> int:
                     (outs["tree"] / "manifest.txt").read_text())
                 differences += report(f"{grid}, {workers} worker(s)", found, sha)
         files = matrix_files(trees["parent"], tmp / "matrices")
-        runs = single_runs(files)
+        runs = single_runs(files) + other_runs(tmp / "matrices")
         found = []
         for args in runs:
             before, after = (single_output(tree, args) for tree in trees.values())
             found += [f"{' '.join(args)}: {line}" for line in output_diff(before, after)]
-        differences += report(f"single-matrix, {len(runs)} runs on {len(files)} files", found,
-                              sha)
+        differences += report(f"CLI, {len(runs)} runs on {len(files)} matrix files", found, sha)
         estimates = ri_runs()
         before, after = (pcmkit(tree, ["-c", _RI_HEX, json.dumps(estimates)], check=True,
                                 capture_output=True, text=True).stdout
