@@ -26,15 +26,17 @@ from .weighting import (
     eigen_system,
     inverse_left_eigenvector,
     right_eigenvector,
+    solve_together,
 )
 
 
 class _CaseContext:
     """Derived quantities of one matrix: its weight vectors on the sum-100
-    scale at once, its CR and comparison record on first use."""
+    scale at once, its CR and comparison record on first use.  `matrices`
+    holds the run's matrix of every case text."""
 
-    def __init__(self, matrix: PCMatrix, ri_table: RiTable):
-        self.matrix, self.ri_table = matrix, ri_table
+    def __init__(self, matrix: PCMatrix, ri_table: RiTable, matrices: dict[str, PCMatrix]):
+        self.matrix, self.ri_table, self.matrices = matrix, ri_table, matrices
         right, left = eigen_system(matrix)
         self.weights100 = {"right": right.weights.priorities * 100.0,
                            "left": left.weights.priorities * 100.0,
@@ -143,7 +145,7 @@ def _aggregation(ctx: _CaseContext, partner_text: str, aip_greater: int, aip_sma
     """Judgment aggregation of two opposed judges is the all-ones matrix with
     uniform priorities, while priority aggregation keeps component
     `aip_greater` above `aip_smaller`."""
-    partner = PCMatrix(_reconciled(partner_text))
+    partner = ctx.matrices[partner_text]
     merged = aggregate_matrices_geometric([ctx.matrix, partner])
     ones_residual = float(np.max(np.abs(merged.entries - 1.0)))
     merged_w = right_eigenvector(merged).weights.rescaled(Normalization.SUM_HUNDRED)
@@ -190,8 +192,8 @@ class VerifyCase:
     @property
     def matrix(self) -> PCMatrix:
         """A new instance on every access: the exact reconciliation runs
-        once, but no eigen solve memoized on a matrix outlives the
-        verification run that made it."""
+        once, but no memoized solve outlives the verification run, which solves
+        its cases together, one call per order, with the bits each gets alone."""
         return PCMatrix(_reconciled(self.matrix_text))
 
 
@@ -376,8 +378,10 @@ def run_verification(ri_table: RiTable | None = None) -> VerificationReport:
     table = ri_table if ri_table is not None else default_ri_table()
     started = time.perf_counter()
     outcomes = []
+    matrices = {case.matrix_text: case.matrix for case in CASES}
+    solve_together(matrices.values())
     for case in CASES:
-        ctx = _CaseContext(case.matrix, table)
+        ctx = _CaseContext(matrices[case.matrix_text], table, matrices)
         for check in case.checks:
             outcomes.append(CheckOutcome(case.name, *check.evaluate(ctx)))
     return VerificationReport(tuple(outcomes), time.perf_counter() - started)

@@ -6,18 +6,18 @@ vector), the row geometric mean, and the two geometric aggregation schemes
 for group judgments: entrywise aggregation of matrices and componentwise
 aggregation of priority vectors.
 
-The inverse-left, combined and row-geometric-mean vectors and the left/right
-eigenvalue check have one derivation each, which `_vector_rows` runs on a
-simulation batch and the memo slot on a batch of one: a matrix gets the
-same bits alone as in a simulation batch.
-
 Every function of the eigenvector family reads one memo slot per `PCMatrix`
-instance.  The first of them to run fills it with a single power-iteration
-call on the matrix and its transpose stacked, then builds every vector and
-result it reports, checks the five vectors in one pass and computes CI;
-every later call, of any kind, returns the same objects from the slot.  The
-slot lives and dies with the instance; no cache is shared between matrices,
-so two matrices with equal entries each solve their own.
+instance.  The first of them to run fills it: one power-iteration call on
+the matrix and its transpose stacked, then `_vector_rows`, the one
+derivation of the inverse-left, combined and row-geometric-mean vectors and
+of the left/right eigenvalue check, which the simulation runs on its
+batches, a check of the five vectors in one pass, and CI.  `solve_together`
+fills the slots of several matrices so, one call per order.  By rules 1-3 of
+`_power`, a matrix gets the same bits alone, in such a fill and in a
+simulation batch.  Every later call, of any kind, returns the same objects
+from the slot.  The slot lives and dies with the instance; no cache is
+shared between matrices, so two matrices with equal entries each solve
+their own.
 """
 
 from __future__ import annotations
@@ -95,40 +95,56 @@ def _finished(entry):
     return entry() if isinstance(entry, partial) else entry
 
 
-def _solved(matrix: PCMatrix) -> tuple:
-    """The matrix's memo slot: the right EigenResult, the (right, left) pair,
-    the inverse-left, combined and RGM WeightVectors, and the right CI.  A
-    failure (a run over budget, eigenvalues that disagree, a vector that
-    fails the WeightVector checks) is held as a `partial` that raises it, so
-    only a caller that reads it raises; CI holds the right run's failure.
-    Only the getters of this module read the slot.  Threads that race on an empty slot
-    each store equal, immutable results.
-    """
-    if matrix._eigen is None:
-        a = matrix.entries
-        n = len(a)
-        # Built C-contiguous, so that the solver iterates it without a copy.
-        pair = np.empty(a.shape + (2,))
-        pair[:, :, 0] = a
-        pair[:, :, 1] = a.T
-        w, lam, iters, resid, conv = power_iterate(pair, _TOL, _MAX_ITERATIONS)
-        *derived, agree = _vector_rows(a[:, :, None], w[:, :1], w[:, 1:], lam[:1], lam[1:])
-        (lam_r, lam_l), iters, resid = lam.tolist(), iters.tolist(), resid.tolist()
-        failed = [partial(_raise, NoConvergenceError, iters[k], resid[k]) for k in (0, 1)
-                  if not conv[k]]
-        if not failed and not agree[0]:
-            failed.append(partial(_raise, NoConvergenceError, iters[1], resid[1],
+def _fill(n: int, group: list) -> None:
+    """Fill the empty memo slots of `group`, distinct order-n matrices, from
+    one `power_iterate` call on [A1..Ak, A1^T..Ak^T].  A slot holds the right
+    EigenResult, the (right, left) pair, the inverse-left, combined and RGM
+    WeightVectors, and the right CI.  A failure (a run over budget,
+    eigenvalues that disagree, a vector that fails the WeightVector checks)
+    is held as a `partial` that raises it, so only a caller that reads that
+    entry raises; CI holds the right run's failure.  Threads that race on an
+    empty slot each store equal, immutable results."""
+    k = len(group)
+    # Built C-contiguous, so that the solver iterates it without a copy.
+    stack = np.empty((n, n, 2 * k))
+    for j, m in enumerate(group):
+        stack[:, :, j] = m.entries
+        stack[:, :, k + j] = m.entries.T
+    w, lam, iters, resid, conv = power_iterate(stack, _TOL, _MAX_ITERATIONS)
+    *derived, agree = _vector_rows(stack[:, :, :k], w[:, :k], w[:, k:], lam[:k], lam[k:])
+    lam, iters, resid = lam.tolist(), iters.tolist(), resid.tolist()
+    vecs = _unit_vectors(np.ascontiguousarray(np.concatenate((w, *derived), 1).T))
+    for r, m in enumerate(group):
+        l = k + r
+        failed = [partial(_raise, NoConvergenceError, iters[c], resid[c]) for c in (r, l)
+                  if not conv[c]]
+        if not failed and not agree[r]:
+            failed.append(partial(_raise, NoConvergenceError, iters[l], resid[l],
                                   f"left/right eigenvalue estimates disagree by "
-                                  f"{abs(lam_l - lam_r) / lam_r:.3e} relative"))
-        rows = np.ascontiguousarray(np.concatenate((w, *derived), 1).T)
-        right, left, *vectors = _unit_vectors(rows)
-        right = EigenResult(_finished(right), lam_r, iters[0], resid[0]) if conv[0] else failed[0]
+                                  f"{abs(lam[l] - lam[r]) / lam[r]:.3e} relative"))
+        right, left, *vectors = vecs[r::k]
+        right = EigenResult(_finished(right), lam[r], iters[r], resid[r]) if conv[r] else failed[0]
         if failed:
             system = vectors[0] = vectors[1] = failed[0]
         else:
-            system = (right, EigenResult(_finished(left), lam_r, iters[1], resid[1]))
-        ci = float(_ci(lam_r, n)) if conv[0] else right
-        object.__setattr__(matrix, "_eigen", (right, system, tuple(vectors), ci))
+            system = (right, EigenResult(_finished(left), lam[r], iters[l], resid[l]))
+        ci = float(_ci(lam[r], n)) if conv[r] else right
+        object.__setattr__(m, "_eigen", (right, system, tuple(vectors), ci))
+
+
+def solve_together(matrices) -> None:
+    """Fill the empty memo slot of each distinct matrix given, one `_fill` per order."""
+    groups = {}
+    for m in {id(m): m for m in matrices if m._eigen is None}.values():
+        groups.setdefault(m.n, []).append(m)
+    for n, group in groups.items():
+        _fill(n, group)
+
+
+def _solved(matrix: PCMatrix) -> tuple:
+    """The memo slot, read only by this module's getters; `_fill` fills an empty one."""
+    if matrix._eigen is None:
+        _fill(matrix.n, [matrix])
     return matrix._eigen
 
 
@@ -175,8 +191,8 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
 
     Closed form, no iteration; this is the optimum of the logarithmic
     least squares problem.  A filled memo slot holds it already, from
-    `_vector_rows` on the same batch of one; an empty slot stays empty, and
-    the vector is computed afresh by the same `_rgm_rows`.
+    `_vector_rows`; an empty slot stays empty, and the vector is computed
+    afresh by the same `_rgm_rows`.
     """
     if matrix._eigen is None:
         return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0], Normalization.SUM_ONE)

@@ -65,10 +65,14 @@ def test_single_runs_run_every_command_on_every_file():
 
 
 def test_other_runs_aggregate_the_opposed_judges_and_cover_ri_and_verify(tmp_path):
-    judges = [str(tmp_path / "verify_0_printed.txt"), str(tmp_path / "verify_1_printed.txt")]
+    printed = [str(tmp_path / f"verify_{k}_printed.txt") for k in range(5)]
     assert bits.other_runs(tmp_path) == [
-        ["aggregate", *judges, "--mode", "aij"],
-        ["aggregate", *judges, "--mode", "aip", "--method", "rgm"],
+        ["aggregate", *printed[:2], "--mode", "aij"],
+        ["aggregate", *printed[:2], "--mode", "aip", "--method", "rgm"],
+        ["aggregate", *printed[:4], "--mode", "aip", "--method", "right"],
+        ["aggregate", *printed[:4], "--mode", "aip", "--method", "left-inverse"],
+        ["aggregate", *printed[:4], "--mode", "aip", "--method", "rl"],
+        ["aggregate", printed[0], printed[4], "--mode", "aip", "--method", "right"],
         ["ri-estimate", "--orders", "3-6", "--samples", "4000"],
         ["verify"]]
 

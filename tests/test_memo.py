@@ -17,6 +17,7 @@ from pcmkit import (
     compare_methods,
     consistency_index,
     consistency_ratio,
+    consistent_from_weights,
     eigen_system,
     format_matrix_text,
     inverse_left_eigenvector,
@@ -29,6 +30,7 @@ from pcmkit import core, montecarlo, verify
 from pcmkit._power import power_iterate
 from pcmkit.cli import main
 from pcmkit.verify import CASES, run_verification
+from pcmkit.weighting import solve_together
 
 from conftest import random_reciprocal
 
@@ -319,6 +321,86 @@ class TestNonConvergence:
         assert solves == [2]
 
 
+def _slot_bits(m: PCMatrix) -> tuple:
+    """Every number the memo slot reports, as bytes and exact values."""
+    right, left = eigen_system(m)
+    return (*((r.weights.priorities.tobytes(), r.lambda_max, r.iterations, r.residual)
+              for r in (right, left)),
+            *(call(m).priorities.tobytes()
+              for call in (inverse_left_eigenvector, combined_eigenvector, row_geometric_mean)),
+            consistency_index(m))
+
+
+def _copies(mats):
+    return [PCMatrix(m.entries.copy()) for m in mats]
+
+
+class TestSeveralMatricesFilledTogether:
+    """`solve_together` fills several slots, one power-iteration call per
+    order, with the bits each matrix gets alone."""
+
+    def test_alone_together_and_reversed_give_the_same_bits(self, solves):
+        mats = [case.matrix for case in CASES] + [
+            _matrix(seed=100 * n + s, n=n) for n in range(3, 16) for s in range(2)]
+        alone, together, backwards = _copies(mats), _copies(mats), _copies(mats)
+        for m in alone:
+            right_eigenvector(m)
+        assert solves == [2] * len(mats)
+        solves.clear()
+        solve_together(together)
+        solve_together(backwards[::-1])
+        orders = sorted({m.n for m in mats})
+        # One call per order and direction, each on every matrix of that order.
+        counts = {n: 2 * sum(m.n == n for m in mats) for n in orders}
+        assert sorted(solves) == sorted([*counts.values()] * 2)
+        for trio in zip(alone, together, backwards):
+            want = _slot_bits(trio[0])
+            assert _slot_bits(trio[1]) == want and _slot_bits(trio[2]) == want
+        assert len(solves) == 2 * len(orders)  # the getters solved nothing more
+
+    def test_filled_and_repeated_matrices_are_not_solved_again(self, solves):
+        a, b, c = (_matrix(seed=s, n=5) for s in range(3))
+        solve_together([a, a, b])
+        assert solves == [4]
+        slot = a._eigen
+        solve_together([a, b, c, c])
+        assert solves == [4, 2] and a._eigen is slot
+        solve_together([a, b, c])
+        right_eigenvector(c)
+        assert solves == [4, 2]
+
+    def test_a_member_over_budget_raises_only_from_its_own_getters(self, monkeypatch):
+        # At a budget of 2 mat-vecs a consistent matrix stops and a random
+        # matrix of order 9 does not.
+        monkeypatch.setattr(weighting, "_MAX_ITERATIONS", 2)
+        good = [consistent_from_weights(np.arange(1.0, 10.0) ** p) for p in (1, 2)]
+        bad = _matrix(n=9)
+        want = [_slot_bits(m) for m in _copies(good)]
+        solve_together([good[0], bad, good[1]])
+        assert [_slot_bits(m) for m in good] == want
+        for call in (right_eigenvector, eigen_system, inverse_left_eigenvector,
+                     combined_eigenvector, consistency_index, compare_methods):
+            with pytest.raises(NoConvergenceError) as info:
+                call(bad)
+            assert info.value.iterations == 2
+        assert row_geometric_mean(bad).n == 9
+
+    def test_an_underflowing_member_raises_only_from_its_own_getters(self):
+        # The valid matrix of TestNonPositiveVectorRaisesOnlyWhereRead whose
+        # combined vector underflows to zero.
+        bad = core.validate(np.array([[1.0, 1e300, 1e300], [1e-300, 1.0, 1.0],
+                                      [1e-300, 1.0, 1.0]]))
+        good = [_matrix(seed=s, n=3) for s in range(2)]
+        want = [_slot_bits(m) for m in _copies(good)]
+        solve_together([good[0], bad, good[1]])
+        assert [_slot_bits(m) for m in good] == want
+        assert right_eigenvector(bad).weights.n == 3
+        assert inverse_left_eigenvector(bad).n == row_geometric_mean(bad).n == 3
+        for call in (combined_eigenvector, compare_methods):
+            with pytest.raises(NonPositiveWeightError):
+                call(bad)
+
+
 class TestCliSolvesOncePerMatrix:
     @pytest.fixture()
     def matrix_file(self, tmp_path):
@@ -359,15 +441,17 @@ class TestCliSolvesOncePerMatrix:
 
 class TestVerifierSolvesOncePerMatrix:
     def test_every_run_solves_each_matrix_once(self, solves):
+        orders = [case.matrix.n for case in CASES]
         aggregations = sum(c.evaluator is verify._aggregation
                            for case in CASES for c in case.checks)
+        assert (orders.count(4), orders.count(5), aggregations) == (5, 3, 1)
         for _ in range(2):
             solves.clear()
             assert run_verification().all_passed
-            # Every case matrix, plus the partner and the merged matrix of
-            # every aggregation check, each with its transpose in one call;
-            # no solve is kept between runs.
-            assert solves == [2] * (len(CASES) + 2 * aggregations)
+            # The case matrices of each order with their transposes in one
+            # call, then the merged matrix of the aggregation check, whose
+            # partner is a case matrix; no solve is kept between runs.
+            assert solves == [10, 6, 2]
 
 
 class TestMatrixValueSemantics:

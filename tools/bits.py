@@ -16,9 +16,12 @@ power-iteration pieces.
 Then it runs `weights --method all` (with and without `--repair`),
 `consistency` and `compare` on a set of matrix files in both trees, then
 `aggregate --mode aij` and `aggregate --mode aip --method rgm` on the two
-opposed judges of `verify`, `ri-estimate --orders 3-6 --samples 4000` and
-`verify`, and every run's exit code, stdout and stderr must be the same,
-but for the time `verify` reports.  The files are written once, by the
+opposed judges of `verify`, `aggregate --mode aip` with `--method right`,
+`left-inverse` and `rl` on four `verify` matrices of order 4 and with
+`--method right` on two matrices of orders 4 and 5 (exit code 2),
+`ri-estimate --orders 3-6 --samples 4000` and `verify`, and every run's
+exit code, stdout and stderr must be the same, but for the time `verify`
+reports.  The files are written once, by the
 export: the 8 published matrices of `verify`, each as printed and as
 reconciled, and one `generate` matrix (delta 2) of each order 3-15.
 
@@ -127,11 +130,17 @@ def single_runs(files) -> list[list[str]]:
 
 def other_runs(matrices: Path) -> list[list[str]]:
     """The CLI arguments of the runs on no single file: both aggregations of
-    the opposed judges (the first two `verify` cases, as printed), a
-    one-chunk RI table on stdout, and `verify`."""
-    judges = [str(matrices / f"verify_{k}_printed.txt") for k in (0, 1)]
-    return [["aggregate", *judges, "--mode", "aij"],
-            ["aggregate", *judges, "--mode", "aip", "--method", "rgm"],
+    the opposed judges (the first two `verify` cases, as printed), priority
+    aggregation by each solved method over the first four `verify` cases
+    (order 4, printed exactly) and over a judge and the first order-5 case,
+    a one-chunk RI table on stdout, and `verify`."""
+    printed = [str(matrices / f"verify_{k}_printed.txt") for k in range(5)]
+    aip = ("--mode", "aip", "--method")
+    return [["aggregate", *printed[:2], "--mode", "aij"],
+            ["aggregate", *printed[:2], *aip, "rgm"],
+            *(["aggregate", *printed[:4], *aip, method]
+              for method in ("right", "left-inverse", "rl")),
+            ["aggregate", printed[0], printed[4], *aip, "right"],
             ["ri-estimate", "--orders", "3-6", "--samples", "4000"],
             ["verify"]]
 
