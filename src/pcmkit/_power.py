@@ -30,7 +30,12 @@ conditions that this module keeps:
    copied, compaction copies with `np.take`, and each mat-vec writes
    into a C-contiguous buffer.  On a strided stack, such as a boolean-
    indexed view, einsum returns its result in another memory order, and
-   the sums over n then add in another order.
+   the sums over n then add in another order.  A stopped matrix is not
+   copied out at once: its column stays in the stack, dead, until a
+   quarter of the columns are dead (or fewer than two are live), and only
+   then is the stack compacted.  No column's arithmetic reads another's,
+   so carrying dead columns changes the width of the stack, never the
+   bits of a live column.
 3. Every per-matrix vector is batch-last, (n, B), from the weights on.
    Outside this loop every sum over n, the row geometric mean's sums of
    logs included, goes through `_row_sum`.  It adds a column's n terms in
@@ -88,6 +93,12 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 # 4-15: 8 beat 4, and the stop rounds up by at most 7 mat-vecs.
 _CHECK_EVERY = 8
 
+# Share of a stack's columns that must be dead (stopped, but still
+# iterated) before the stack is compacted.  Compacting at every stop copied
+# an RI chunk's stack 3-5 times over; a sweep of 1/2 to 1/16 could not tell
+# the values apart.
+_DEAD_SHARE = 0.25
+
 # Mat-vec of every matrix in an (n, n, B) stack with an (n, B) iterate.
 _MATVEC = "ijb,jb->ib"
 
@@ -132,6 +143,9 @@ def power_iterate(mats: np.ndarray, tol: float, max_iter: int):
     matrix, or max_iter.  The residual is the one measured at the reported
     weights.  The stack is iterated in the pieces of `_pieces`; a matrix
     whose iterate underflows ends not converged, with no numpy warning.
+    A matrix's results are recorded at the check where it stops; its column
+    leaves the piece's stack only when a quarter of the stack has stopped,
+    and until then it is iterated but never read again (rule 2).
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3 or mats.shape[0] != mats.shape[1]:
@@ -148,10 +162,13 @@ def power_iterate(mats: np.ndarray, tol: float, max_iter: int):
 def _iterate(mats, tol, max_iter, weights, lam_out, iter_out, resid_out, converged):
     """Solve one piece of `power_iterate` into its columns of the results."""
     n, _, batch = mats.shape
-    # Column k of the stack solves matrix idx[k].  A contiguous piece of two
-    # or more matrices is iterated without a copy.
+    # Column k of the stack solves matrix idx[k] until it stops.  A contiguous
+    # piece of two or more matrices is iterated without a copy.
     idx = _two_or_more(np.arange(batch))
     active = np.ascontiguousarray(mats) if idx.size == batch else np.take(mats, idx, axis=2)
+    # Mask of the columns not stopped yet; None while that is all of them, so
+    # that a narrow stack builds no all-true mask per piece and compaction.
+    live = None
     w = np.full((n, idx.size), 1.0 / n)
     v = np.empty_like(w)
     it = 0
@@ -168,6 +185,8 @@ def _iterate(mats, tol, max_iter, weights, lam_out, iter_out, resid_out, converg
         w_next = v / _sum(v, axis=0)
         change = _max(np.abs(w_next - w) / w, axis=0)
         close = change <= tol
+        if live is not None:
+            close &= live  # a dead column was recorded already
         # A matrix stops only when its change is within tol, so before the
         # budget's last step a check where no change is skips the eigenvalue
         # and the residual.
@@ -177,7 +196,7 @@ def _iterate(mats, tol, max_iter, weights, lam_out, iter_out, resid_out, converg
         lam = _sum(v / w, axis=0) / n
         resid = _max(np.abs(v - lam * w) / w, axis=0)
         done = close & (resid <= tol * lam)
-        stop = done if it < max_iter else np.ones_like(done)
+        stop = done if it < max_iter else (np.ones_like(done) if live is None else live)
         if np.count_nonzero(stop):  # a quarter of the cost of stop.any() on a narrow stack
             stopped = stop.nonzero()[0]  # one index array: cheaper than a mask per gather
             hit = idx.take(stopped)
@@ -188,11 +207,17 @@ def _iterate(mats, tol, max_iter, weights, lam_out, iter_out, resid_out, converg
             resid_out[hit] = resid.take(stopped)
             iter_out[hit] = it
             converged[hit] = done.take(stopped)
-            cols = _two_or_more((~stop).nonzero()[0])
-            if not cols.size:
-                break
-            idx = idx[cols]
-            active = np.take(active, cols, axis=2)
-            w_next = np.take(w_next, cols, axis=1)
-            v = np.empty_like(w_next)
+            live = ~stop if live is None else live ^ stop  # stop is within live
+            cols = live.nonzero()[0]
+            # One live column of a stack of width w >= 2 leaves w - 1 >= w / 4
+            # dead, so it always compacts, to two copies of itself (rule 1).
+            if idx.size - cols.size >= _DEAD_SHARE * idx.size:
+                if not cols.size:
+                    break
+                cols = _two_or_more(cols)
+                idx = idx[cols]
+                active = np.take(active, cols, axis=2)
+                w_next = np.take(w_next, cols, axis=1)
+                v = np.empty_like(w_next)
+                live = None
         w = w_next

@@ -5,7 +5,7 @@ from pcmkit import (GeneratorConfig, PCMatrix, combined_eigenvector, eigen_syste
                     inverse_left_eigenvector, row_geometric_mean)
 from pcmkit import _power, weighting
 from pcmkit._power import _CHECK_EVERY, power_iterate
-from pcmkit.consistency import SAATY_SCALE, _ri_chunk_sum
+from pcmkit.consistency import SAATY_SCALE, _RI_SOLVER_TOL as _RI_TOL, _ri_chunk_sum
 from pcmkit.core import reciprocal_from_upper
 from pcmkit.montecarlo import (SimTask, SimulationConfig, batch_vectors, perturbed_batch,
                                run_task)
@@ -403,3 +403,86 @@ def test_row_geometric_mean_has_the_same_bits_before_and_after_the_memo():
             assert m._eigen is not None
             assert row_geometric_mean(m).priorities.tobytes() == before
             assert row_geometric_mean(PCMatrix(entries)).priorities.tobytes() == before
+
+
+def _saaty_stack(n: int, count: int = 2048) -> np.ndarray:
+    """Random Saaty-scale matrices, as the RI estimate draws them: at its
+    tolerance their stops spread over many checks."""
+    rng = np.random.default_rng(2027)
+    draws = rng.integers(0, len(SAATY_SCALE), size=(count, n * (n - 1) // 2))
+    return np.ascontiguousarray(reciprocal_from_upper(SAATY_SCALE[draws].T, n))
+
+
+@pytest.fixture(scope="module", params=[4, 6], ids=lambda n: f"n{n}")
+def saaty(request):
+    """A Saaty-scale stack of 2048 and every matrix solved alone."""
+    mats = _saaty_stack(request.param)
+    alone = [_rows(power_iterate(mats[:, :, k:k + 1], _RI_TOL, MAX_ITER), 0)
+             for k in range(mats.shape[2])]
+    return mats, alone
+
+
+class TestDeadColumnsCarried:
+    """A stopped column stays in the stack, dead, until a quarter of it has
+    stopped; no live column's bits move, and no dead column is recorded
+    again."""
+
+    def test_stops_spread_over_eight_checks(self, saaty):
+        _, alone = saaty
+        assert len({int(r[2]) for r in alone}) >= 8
+
+    def test_full_budget(self, saaty):
+        mats, alone = saaty
+        result = power_iterate(mats, _RI_TOL, MAX_ITER)
+        _assert_same_bits(result, _residual_at_every_check(mats, _RI_TOL, MAX_ITER))
+        for k in range(mats.shape[2]):
+            _assert_same_bits(_rows(result, k), alone[k])
+
+    def test_budget_ends_with_dead_columns_in_the_stack(self, saaty):
+        mats, alone = saaty
+        iters = np.array([int(r[2]) for r in alone])
+        # Between checks, one check after the first stop: some columns have
+        # stopped, fewer than a quarter, so none has been compacted away and
+        # the last step must record only the live ones.
+        budget = int(iters.min()) + _CHECK_EVERY + 3
+        early = iters < budget
+        assert 0 < np.count_nonzero(early) < _power._DEAD_SHARE * mats.shape[2]
+        result = power_iterate(mats, _RI_TOL, budget)
+        _assert_same_bits(result, _residual_at_every_check(mats, _RI_TOL, budget))
+        assert np.array_equal(result[2][early], iters[early])
+        assert np.all(result[2][~early] == budget)
+        for k in range(0, mats.shape[2], 16):
+            alone = _rows(power_iterate(mats[:, :, k:k + 1], _RI_TOL, budget), 0)
+            _assert_same_bits(_rows(result, k), alone)
+
+    def test_width_five_carries_its_first_stop(self, saaty):
+        mats, alone = saaty
+        iters = np.array([int(r[2]) for r in alone])
+        first = int(np.argmin(iters))
+        later = np.flatnonzero(iters >= iters[first] + 2 * _CHECK_EVERY)[:4]
+        # One dead column of five is under a quarter: it is carried.
+        assert later.size == 4 and 1 < _power._DEAD_SHARE * 5
+        picked = np.insert(later, 2, first)
+        stack = np.ascontiguousarray(mats[:, :, picked])
+        result = power_iterate(stack, _RI_TOL, MAX_ITER)
+        _assert_same_bits(result, _residual_at_every_check(stack, _RI_TOL, MAX_ITER))
+        for pos, k in enumerate(picked):
+            _assert_same_bits(_rows(result, pos), alone[k])
+
+
+def test_ri_chunk_copies_its_stack_at_most_twice(monkeypatch):
+    """Compaction copies of an RI chunk's stack, counted in elements.
+    Compacting at every stop copied this chunk's stack 4.7 times."""
+    take, copied = np.take, []
+
+    def counting_take(a, indices, axis=None, **kwargs):
+        out = take(a, indices, axis=axis, **kwargs)
+        if axis == 2:
+            copied.append(out.size)
+        return out
+
+    monkeypatch.setattr(_power.np, "take", counting_take)
+    n, count = 4, 20000
+    _ri_chunk_sum(n, count, 7, 0, "saaty")
+    assert copied
+    assert sum(copied) <= 2 * n * n * count

@@ -15,6 +15,10 @@ are written as one set of a BENCH_*.json file: the end-to-end metrics with
         --out BENCH_cold_start.json --note "what the change is"
 
 `--append` adds the set to an existing file instead of starting a new one.
+`--claim METRIC` prints whether the speed rule holds for that metric (at
+least 10 pairs, after better in at least 9 of every 10, and the median
+better by more than the width of the parent's interquartile range) and
+stores the verdict in the set.
 Each set records the `--trace` it ran with, and every metric records in how
 many pairs the working tree beat the parent (`after_wins`), in the
 direction its `better` field in BENCHMARK.json gives; a tie counts for
@@ -42,10 +46,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse_seeds(spec: str) -> list[int]:
+    """Seeds of a spec such as '101-110' or '1,3,5', in the order given.  A
+    descending range or a seed named twice is an error, not a smaller or
+    double-counted set."""
     seeds: list[int] = []
     for part in spec.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"descending seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seed spec {spec!r} names a seed twice")
     return seeds
 
 
@@ -94,6 +106,20 @@ def summary(values: list[float]) -> tuple[float, list[float]]:
     return round(median, 4), [round(q1, 4), round(q3, 4)]
 
 
+def verdict(name: str, entry: dict, better: str) -> dict:
+    """The speed rule for a claimed metric's entry: at least 10 pairs, after
+    better in at least 9 of every 10, and a median gain, in the metric's
+    direction, wider than the parent's interquartile range."""
+    sign = 1 if better == "higher" else -1
+    pairs = len(entry["before"])
+    gain = round(sign * (entry["after_median"] - entry["before_median"]), 4)
+    iqr = round(entry["before_iqr"][1] - entry["before_iqr"][0], 4)
+    wins = entry["after_wins"]
+    return {"metric": name, "pairs": pairs, "after_wins": wins, "median_gain": gain,
+            "parent_iqr_width": iqr,
+            "holds": pairs >= 10 and 10 * wins >= 9 * pairs and gain > iqr}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -105,10 +131,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     parser.add_argument("--note", default="", help="what the working tree changes")
     parser.add_argument("--append", action="store_true", help="add a set to --out")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="judge the speed rule for this metric and store the verdict")
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(str(exc))
     if len(seeds) < 2:
         parser.error("need at least two seeds for quartiles")
+    better = directions()
+    if args.claim is not None and args.claim not in better:
+        parser.error(f"--claim: {args.claim!r} is not a metric of BENCHMARK.json")
 
     runs: dict[str, list[dict]] = {"before": [], "after": []}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
@@ -126,7 +160,6 @@ def main(argv=None) -> int:
         shutil.rmtree(trees["before"] / "perfbench" / "out", ignore_errors=True)
 
     metrics = {}
-    better = directions()
     for name, first in runs["before"][0]["metrics"].items():
         entry: dict = {"unit": first["unit"]}
         for side in ("before", "after"):
@@ -146,6 +179,11 @@ def main(argv=None) -> int:
         "correct": all(r["correct"] for r in all_runs),
         "metrics": metrics,
     }
+    if args.claim is not None:
+        entry = metrics.get(args.claim)
+        result_set["claim"] = (verdict(args.claim, entry, better[args.claim]) if entry
+                               else {"metric": args.claim, "holds": False,
+                                     "why": "not measured by this workload"})
     out = Path(args.out)
     if args.append:
         doc = json.loads(out.read_text())
@@ -165,6 +203,10 @@ def main(argv=None) -> int:
         wins = "" if m["after_wins"] is None else f", after better in {m['after_wins']}/{len(seeds)}"
         print(f"{name}: {m['before_median']} {m['before_iqr']} -> "
               f"{m['after_median']} {m['after_iqr']} {m['unit']}{wins}")
+    if args.claim is not None:
+        claim = result_set["claim"]
+        print(f"claim {args.claim}: {'holds' if claim['holds'] else 'does not hold'} "
+              f"({json.dumps({k: v for k, v in claim.items() if k not in ('metric', 'holds')})})")
     return 0
 
 
