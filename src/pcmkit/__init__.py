@@ -19,15 +19,11 @@ from .core import (
     ReciprocityMode,
     ReciprocityPolicy,
     WeightVector,
-    consistent_from_weights,
     format_matrix_text,
-    is_consistent,
     load_matrix,
     normalize,
     parse_matrix_text,
-    permute,
     reconcile_matrix_text,
-    transpose,
     validate,
 )
 from .errors import (
@@ -65,9 +61,8 @@ from .weighting import (
 # The simulation and the verification suite load on first use: a caller that
 # weights one matrix does not pay for their import.
 _LAZY = {
-    **dict.fromkeys(("BinColumns", "CrHistogram", "GeneratorConfig", "SimulationConfig",
-                     "SimulationResult", "bin_columns", "generate_perturbed",
-                     "run_simulation"), "montecarlo"),
+    **dict.fromkeys(("BinColumns", "GeneratorConfig", "SimulationConfig", "SimulationResult",
+                     "bin_columns", "generate_perturbed", "run_simulation"), "montecarlo"),
     **dict.fromkeys(("CASES", "VerifyCase", "run_verification"), "verify"),
 }
 

@@ -366,13 +366,14 @@ def _parse_orders(spec: str) -> list[int]:
     orders: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = (int(x) for x in part.split("-", 1))
-            if hi < lo:
-                raise ValueError(f"--orders: range {part!r} runs downwards")
-            orders.extend(range(lo, hi + 1))
-        else:
-            orders.append(int(part))
+        try:
+            bounds = [int(x) for x in part.split("-", 1)]
+        except ValueError:
+            raise ValueError(f"--orders: {part!r} is neither an order nor a range lo-hi") from None
+        lo, hi = bounds[0], bounds[-1]
+        if hi < lo:
+            raise ValueError(f"--orders: range {part!r} runs downwards")
+        orders.extend(range(lo, hi + 1))
     return orders
 
 

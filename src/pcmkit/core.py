@@ -3,8 +3,8 @@
 A pairwise comparison matrix stores positive judgment ratios: entry (i, j)
 says how many times alternative i is preferred to alternative j.  The
 diagonal is exactly one and mirrored entries multiply to one (reciprocity).
-This module owns construction, validation, the elementary transformations,
-and the plain-text matrix file format consumed by the CLI.
+This module owns construction, validation and the plain-text matrix file
+format consumed by the CLI.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from ._power import _max, _sum
 from .errors import (
-    DimensionMismatchError,
     NonPositiveEntryError,
     NonPositiveWeightError,
     NonSquareError,
@@ -268,28 +267,6 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
     return PCMatrix(a, policy.tolerance)
 
 
-def consistent_from_weights(weights) -> PCMatrix:
-    """Build the consistent matrix of ratios w_i / w_j."""
-    w = np.asarray(weights, dtype=float)
-    _require_vector(w, "weights")
-    a = w[:, None] / w[None, :]
-    np.fill_diagonal(a, 1.0)
-    return PCMatrix(a)
-
-
-def is_consistent(matrix: PCMatrix, tol: float) -> bool:
-    """True iff every triad satisfies a_ij * a_jk = a_ik within `tol` relative."""
-    a = matrix.entries
-    prod = a[:, :, None] * a[None, :, :]  # prod[i, j, k] = a_ij * a_jk
-    residual = np.abs(prod / a[:, None, :] - 1.0)
-    return bool(residual.max() <= tol)
-
-
-def transpose(matrix: PCMatrix) -> PCMatrix:
-    """The reversed-question matrix: entry (i, j) becomes entry (j, i)."""
-    return PCMatrix(matrix.entries.T.copy())
-
-
 def normalize(raw, target: Normalization = Normalization.SUM_ONE) -> WeightVector:
     """Scale positive components so they sum to the target total."""
     p = np.asarray(raw, dtype=float)
@@ -434,14 +411,3 @@ def format_matrix_text(matrix: PCMatrix, comments: tuple[str, ...] = ()) -> str:
     for row in matrix.entries:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
-
-
-def permute(matrix: PCMatrix, order) -> PCMatrix:
-    """Reindex alternatives: entry (i, j) of the result compares order[i] to order[j]."""
-    # numpy reads bools and numeric strings as indices; a non-integral entry matches none.
-    idx = list(order)
-    if (any(isinstance(k, (bool, np.bool_, str, bytes)) for k in idx)
-            or sorted(np.asarray(idx, dtype=float).tolist()) != list(range(matrix.n))):
-        raise DimensionMismatchError(f"not a permutation of 0..{matrix.n - 1}: {order!r}")
-    idx = np.asarray(idx, dtype=int)
-    return PCMatrix(matrix.entries[np.ix_(idx, idx)])

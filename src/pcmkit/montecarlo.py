@@ -117,40 +117,6 @@ class SimulationConfig:
 
 # Dataclasses holding arrays compare by identity: a generated __eq__ raises on them.
 @dataclass(frozen=True, eq=False)
-class CrHistogram:
-    """Counts of generated matrices per CR bin for every (n, delta) cell."""
-
-    bin_width: float
-    cr_cap: float
-    counts: Mapping[tuple[int, float], np.ndarray]
-
-    def total(self, n: int, delta: float) -> int:
-        return int(self.counts[(n, delta)].sum())
-
-    def fraction_below(self, n: int, delta: float, cr: float) -> float:
-        """Share of matrices in the cell with CR strictly below `cr`.
-
-        `cr` must be a bin edge in [0, cr_cap]: a multiple of bin_width
-        below the cap, or the cap itself.  The overflow bucket (CR at or
-        above the cap) is never below.  Raises ValueError for any other
-        value, since the histogram cannot split a bin, and for a cell that
-        holds no matrices.
-        """
-        arr = self.counts[(n, delta)]
-        n_bins = len(arr) - 1
-        upto = round(cr / self.bin_width) if math.isfinite(cr) else -1
-        if math.isclose(cr, self.cr_cap, rel_tol=1e-9):
-            upto = n_bins
-        elif not (0 <= upto < n_bins and math.isclose(cr / self.bin_width, upto,
-                                                       rel_tol=1e-9, abs_tol=1e-9)):
-            raise ValueError(f"cr {cr} is not a bin edge in [0, {self.cr_cap}] "
-                             f"(bin width {self.bin_width})")
-        if not arr.any():
-            raise ValueError(f"cell (n={n}, delta={delta}) holds no matrices")
-        return float(arr[:upto].sum() / arr.sum())
-
-
-@dataclass(frozen=True, eq=False)
 class BinColumns:
     """The non-empty bins of one bin table as aligned columns, in bin order.
 
@@ -200,7 +166,6 @@ class SimulationResult:
     kind into per-bin means, shares and flags."""
 
     config: SimulationConfig
-    histogram: CrHistogram
     cell_tables: Mapping[tuple[int, float], np.ndarray]
     order_tables: Mapping[int, np.ndarray]
     nonconverged: int
@@ -430,11 +395,8 @@ def reduce_partials(config: SimulationConfig,
     pooled = {n: np.zeros((_ROWS, width)) for n in config.dims}
     for (n, _), table in zip(cells, tables):  # deltas in sorted order
         pooled[n] += table
-    histogram = CrHistogram(config.bin_width, config.cr_cap,
-                            {cell: t[0].astype(np.int64) for cell, t in zip(cells, tables)})
-    return SimulationResult(config=config, histogram=histogram,
-                            cell_tables=dict(zip(cells, tables)), order_tables=pooled,
-                            nonconverged=nonconverged)
+    return SimulationResult(config=config, cell_tables=dict(zip(cells, tables)),
+                            order_tables=pooled, nonconverged=nonconverged)
 
 
 def _check_bin_memory(config: SimulationConfig) -> None:

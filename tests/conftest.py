@@ -3,7 +3,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from pcmkit import METRICS, RiTable, validate
+from pcmkit import METRICS, PCMatrix, RiTable, validate
 from pcmkit.core import STRICT_FILE_POLICY, reciprocal_from_upper
 from pcmkit.montecarlo import _CLOSER, _PAIR_COUNT
 from pcmkit.verify import CASES
@@ -58,6 +58,31 @@ def random_reciprocal(n: int, rng: np.random.Generator):
     upper = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(n, n)))
     iu, ju = np.triu_indices(n, 1)
     return validate(reciprocal_from_upper(upper[iu, ju], n), STRICT_FILE_POLICY)
+
+
+def consistent_from_weights(weights) -> PCMatrix:
+    """The consistent matrix of ratios w_i / w_j."""
+    w = np.asarray(weights, dtype=float)
+    return PCMatrix(np.divide.outer(w, w))
+
+
+def transpose(matrix) -> PCMatrix:
+    """The reversed-question matrix: entry (i, j) becomes entry (j, i)."""
+    return PCMatrix(matrix.entries.T.copy())
+
+
+def permute(matrix, order) -> PCMatrix:
+    """Entry (i, j) of the result compares alternative order[i] to order[j]."""
+    return PCMatrix(matrix.entries[np.ix_(order, order)])
+
+
+def cr_share_below(result, n: int, delta: float, cr: float) -> float:
+    """Share of the (n, delta) cell's matrices whose CR is below `cr`, a bin
+    edge under the cap, read from the count row of the cell's bin table."""
+    counts = result.cell_tables[(n, delta)][0]
+    edge = round(cr / result.config.bin_width)
+    assert edge * result.config.bin_width == pytest.approx(cr) and cr < result.config.cr_cap
+    return float(counts[:edge].sum() / counts.sum())
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from pcmkit.cli import main
 from pcmkit.core import reciprocal_from_upper
 from pcmkit.montecarlo import batch_vectors
 
-from conftest import case_matrix
+from conftest import case_matrix, cr_share_below
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -177,7 +177,7 @@ def test_criterion_05_consistent_matrix_degeneracy():
 
 
 def test_criterion_06_generator_inconsistency_profile(figure2_run):
-    shares = {n: figure2_run.histogram.fraction_below(n, 1.0, 0.1)
+    shares = {n: cr_share_below(figure2_run, n, 1.0, 0.1)
               for n in (4, 5, 6, 7, 8, 9)}
     ok = all(shares[n] >= 0.99 for n in (5, 6, 7, 8, 9)) and shares[4] < 0.99
     detail = ", ".join(f"n={n}: {s:.4f}" for n, s in shares.items())

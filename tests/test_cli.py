@@ -397,8 +397,8 @@ class TestSimulateCommand:
 
         want = {"histogram.csv": ["n,delta,bin_lower,count"] + [
             f"{n},{_g12(delta)},{_g12(_bin_lower(config, b))},{int(count)}"
-            for (n, delta), counts in sorted(result.histogram.counts.items())
-            for b, count in enumerate(counts) if count]}
+            for (n, delta), table in sorted(result.cell_tables.items())
+            for b, count in enumerate(table[0]) if count]}
         for metric in ("euclidean", "chebyshev", "max_ratio", "kendall"):
             mi = METRICS.index(metric)
             want[f"bins_{metric}.csv"] = ["n,bin_lower," + REFERENCE_BIN_HEADER] + [
@@ -646,8 +646,14 @@ class TestRiEstimateCommand:
         assert header == "# random index table: n ri samples seed\n"
         assert printed == "".join(lines) and len(lines) == 3
 
-    def test_bad_order_spec_exits_2(self, capsys):
-        assert main(["ri-estimate", "--orders", "x", "--samples", "1000"]) == 2
+    @pytest.mark.parametrize("spec, item", [("x", "x"), ("3-", "3-"), ("3-x", "3-x"),
+                                            ("3,,4", ""), ("4, 5-", "5-")])
+    def test_bad_order_spec_exits_2_naming_the_item(self, capsys, spec, item):
+        assert main(["ri-estimate", "--orders", spec, "--samples", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"pcmkit: error: --orders: {item!r} is neither an order "
+                                "nor a range lo-hi\n")
 
     @pytest.mark.parametrize("spec", ["9-3", "3,9-3"])
     def test_descending_order_range_exits_2(self, tmp_path, capsys, spec):

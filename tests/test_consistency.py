@@ -9,11 +9,8 @@ from pcmkit import (
     build_ri_table,
     consistency_index,
     consistency_ratio,
-    consistent_from_weights,
     default_ri_table,
     estimate_random_index,
-    permute,
-    transpose,
     validate,
 )
 
@@ -22,7 +19,7 @@ from pcmkit.consistency import (SAATY_SCALE, _RI_SOLVER_MAX_ITER, _RI_SOLVER_TOL
                                  RiProvenance, _ri_chunk_sum)
 from pcmkit.core import reciprocal_from_upper
 
-from conftest import random_reciprocal
+from conftest import consistent_from_weights, permute, random_reciprocal, transpose
 
 
 class TestConsistencyIndex:

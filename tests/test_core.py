@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmkit import (
-    DimensionMismatchError,
     Normalization,
     NonPositiveEntryError,
     NonPositiveWeightError,
@@ -13,20 +12,23 @@ from pcmkit import (
     ReciprocityMode,
     ReciprocityPolicy,
     ReciprocityViolationError,
-    consistent_from_weights,
+    aggregate_matrices_geometric,
+    combined_eigenvector,
+    consistency_index,
     format_matrix_text,
-    is_consistent,
+    inverse_left_eigenvector,
+    left_eigenvector,
     normalize,
     parse_matrix_text,
-    permute,
     reconcile_matrix_text,
-    transpose,
+    right_eigenvector,
+    row_geometric_mean,
     WeightVector,
     validate,
 )
 from pcmkit.core import STRICT_FILE_POLICY
 
-from conftest import random_reciprocal
+from conftest import consistent_from_weights, permute, random_reciprocal, transpose
 
 REPAIR = ReciprocityPolicy(mode=ReciprocityMode.REPAIR_FROM_UPPER)
 
@@ -140,30 +142,44 @@ class TestValidate:
             ReciprocityPolicy(tolerance=0.2)
 
 
+def _triads_hold(matrix, rtol: float) -> bool:
+    """Every triad a_ij * a_jk = a_ik within `rtol` relative."""
+    a = matrix.entries
+    return bool(np.allclose(a[:, :, None] * a[None, :, :], a[:, None, :], rtol=rtol, atol=0))
+
+
 class TestConsistentFromWeights:
+    """The consistent matrix of ratios w_i / w_j, as the library reads it."""
+
     def test_direct_ratios(self):
         m = consistent_from_weights((4.0, 2.0, 1.0))
         expected = np.array([[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1.0]])
-        assert np.allclose(m.entries, expected, rtol=0, atol=0)
+        assert np.array_equal(m.entries, expected)
+        assert np.allclose(right_eigenvector(m).weights.priorities, [4 / 7, 2 / 7, 1 / 7],
+                           rtol=1e-12, atol=0)
 
     def test_equal_weights_give_all_ones(self):
         m = consistent_from_weights((1.0, 1.0, 1.0, 1.0))
         assert np.all(m.entries == 1.0)
+        assert np.array_equal(row_geometric_mean(m).priorities, np.full(4, 0.25))
 
     def test_two_alternatives(self):
         m = consistent_from_weights((9.0, 1.0))
         assert m[0, 1] == 9.0
         assert m[1, 0] == pytest.approx(1 / 9, rel=1e-15)
+        assert np.allclose(row_geometric_mean(m).priorities, [0.9, 0.1], rtol=1e-15, atol=0)
 
     def test_rejects_non_positive(self):
         with pytest.raises(NonPositiveWeightError):
+            normalize((1.0, 0.0, 2.0))
+        with pytest.raises(NonPositiveEntryError), np.errstate(divide="ignore", invalid="ignore"):
             consistent_from_weights((1.0, 0.0, 2.0))
 
     def test_triads_multiply_exactly(self):
         rng = np.random.default_rng(5)
         w = rng.uniform(0.1, 10.0, size=6)
         m = consistent_from_weights(w)
-        assert is_consistent(m, 1e-12)
+        assert _triads_hold(m, 1e-12)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=3, max_size=9))
     @settings(max_examples=50, deadline=None)
@@ -174,18 +190,26 @@ class TestConsistentFromWeights:
 
 
 class TestIsConsistent:
+    """Consistency as the library measures it: CI, clamped at zero."""
+
     def test_consistent_true(self):
-        assert is_consistent(consistent_from_weights((4.0, 2.0, 1.0)), 1e-9)
+        m = consistent_from_weights((4.0, 2.0, 1.0))
+        assert _triads_hold(m, 1e-9)
+        assert consistency_index(m) == 0.0
 
     def test_published_example_is_inconsistent(self, four_alt):
-        assert not is_consistent(four_alt, 1e-3)
+        assert not _triads_hold(four_alt, 1e-3)
+        assert consistency_index(four_alt) > 0.0
 
     def test_two_by_two_always_consistent(self):
-        m = consistent_from_weights((9.0, 1.0))
-        assert is_consistent(m, 1e-12)
+        m = PCMatrix(np.array([[1.0, 9.0], [1 / 9, 1.0]]))
+        assert _triads_hold(m, 1e-12)
+        assert consistency_index(m) == 0.0
 
 
 class TestTranspose:
+    """The reversed-question matrix, entry (i, j) moved to (j, i)."""
+
     def test_matches_opposed_judge(self, judge_pair):
         first, second = judge_pair
         assert np.array_equal(transpose(first).entries, second.entries)
@@ -193,15 +217,56 @@ class TestTranspose:
     def test_all_ones_fixed_point(self):
         m = validate(np.ones((4, 4)))
         assert np.array_equal(transpose(m).entries, m.entries)
+        assert np.array_equal(left_eigenvector(m).weights.priorities,
+                              right_eigenvector(m).weights.priorities)
 
-    def test_involution(self, five_alt):
-        assert np.array_equal(transpose(transpose(five_alt)).entries, five_alt.entries)
+    def test_left_vector_is_the_right_vector_of_the_transpose(self, five_alt):
+        left, right = left_eigenvector(five_alt), right_eigenvector(transpose(five_alt))
+        assert np.allclose(left.weights.priorities, right.weights.priorities, rtol=1e-9, atol=0)
+        assert left.lambda_max == pytest.approx(right.lambda_max, rel=1e-12)
 
     def test_entries_are_reciprocals(self):
         rng = np.random.default_rng(11)
         m = random_reciprocal(6, rng)
-        t = transpose(m)
+        t = validate(transpose(m).entries, STRICT_FILE_POLICY)
         assert np.max(np.abs(t.entries * m.entries - 1.0)) <= 1e-9
+
+
+class TestPermutation:
+    """Relabelling the alternatives relabels every vector and leaves CI alone."""
+
+    def test_permuted_matrix_is_valid(self):
+        rng = np.random.default_rng(3)
+        m = random_reciprocal(5, rng)
+        order = rng.permutation(5)
+        p = validate(permute(m, order).entries, STRICT_FILE_POLICY)
+        assert p.n == 5
+        assert p[0, 1] == m[order[0], order[1]]
+
+    @pytest.mark.parametrize("method", [right_eigenvector, left_eigenvector,
+                                        inverse_left_eigenvector, combined_eigenvector,
+                                        row_geometric_mean])
+    def test_vector_follows_the_order(self, five_alt, method):
+        def unit(v):
+            return (v.weights if hasattr(v, "weights") else v).priorities
+
+        order = np.array([3, 0, 4, 1, 2])
+        before, after = unit(method(five_alt)), unit(method(permute(five_alt, order)))
+        assert np.allclose(after, before[order], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_consistency_index_unchanged(self, n):
+        rng = np.random.default_rng(20 + n)
+        m = random_reciprocal(n, rng)
+        p = permute(m, rng.permutation(n))
+        assert consistency_index(p) == pytest.approx(consistency_index(m), rel=1e-9, abs=1e-15)
+
+    def test_group_aggregate_commutes(self):
+        rng = np.random.default_rng(8)
+        mats, order = [random_reciprocal(4, rng) for _ in range(3)], np.array([2, 3, 0, 1])
+        first = permute(aggregate_matrices_geometric(mats), order)
+        second = aggregate_matrices_geometric([permute(m, order) for m in mats])
+        assert np.allclose(first.entries, second.entries, rtol=1e-12, atol=0)
 
 
 class TestNormalize:
@@ -235,42 +300,6 @@ class TestNormalize:
         assert np.allclose(
             v.rescaled(Normalization.SUM_HUNDRED).unit(), v.priorities, rtol=1e-15
         )
-
-
-class TestPermutation:
-    def test_permuted_matrix_is_valid(self):
-        rng = np.random.default_rng(3)
-        m = random_reciprocal(5, rng)
-        order = rng.permutation(5)
-        p = permute(m, order)
-        assert p.n == 5
-        assert p[0, 1] == m[order[0], order[1]]
-
-    @pytest.mark.parametrize("order", [[0.9, 1.2, 2.7], [0, 1, 2.5], [float("nan"), 1, 2]])
-    def test_non_integral_order_rejected(self, order):
-        # Truncated to integers, the first two would read as the identity.
-        m = random_reciprocal(3, np.random.default_rng(4))
-        with pytest.raises(DimensionMismatchError, match="not a permutation"):
-            permute(m, order)
-
-    def test_integral_float_order_accepted(self):
-        m = random_reciprocal(3, np.random.default_rng(4))
-        assert np.array_equal(permute(m, [2.0, 0.0, 1.0]).entries, permute(m, [2, 0, 1]).entries)
-
-    def test_numpy_integer_order_accepted(self):
-        m = random_reciprocal(3, np.random.default_rng(4))
-        for dtype in (np.int32, np.int64, np.uint8):
-            assert np.array_equal(permute(m, np.array([2, 0, 1], dtype=dtype)).entries,
-                                  permute(m, [2, 0, 1]).entries)
-
-    @pytest.mark.parametrize("order", [["2", "0", "1"], np.array(["2", "0", "1"]),
-                                       [b"2", b"0", b"1"], [True, False, 2],
-                                       [np.True_, np.False_, 2]])
-    def test_string_or_bool_order_rejected(self, order):
-        # numpy parses each of these as the indices 2, 0, 1 or 1, 0, 2.
-        m = random_reciprocal(3, np.random.default_rng(4))
-        with pytest.raises(DimensionMismatchError, match="not a permutation"):
-            permute(m, order)
 
 
 class TestTextFormat:

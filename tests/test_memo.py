@@ -17,7 +17,6 @@ from pcmkit import (
     compare_methods,
     consistency_index,
     consistency_ratio,
-    consistent_from_weights,
     eigen_system,
     format_matrix_text,
     inverse_left_eigenvector,
@@ -32,7 +31,7 @@ from pcmkit.cli import main
 from pcmkit.verify import CASES, run_verification
 from pcmkit.weighting import solve_together
 
-from conftest import random_reciprocal
+from conftest import consistent_from_weights, random_reciprocal
 
 
 @pytest.fixture()

@@ -8,7 +8,6 @@ from pcmkit import (
     NonPositiveWeightError,
     chebyshev,
     compare_methods,
-    consistent_from_weights,
     euclidean,
     kendall_tau,
     max_ratio,
@@ -16,6 +15,8 @@ from pcmkit import (
     validate,
 )
 from pcmkit.metrics import METRICS, comparison_flags, metric_blocks, record_from_vectors
+
+from conftest import consistent_from_weights
 
 U = (0.5, 0.4, 0.1)
 V = (0.5, 0.3, 0.2)

@@ -17,7 +17,6 @@ from pcmkit import (
     default_ri_table,
     generate_perturbed,
     inverse_left_eigenvector,
-    is_consistent,
     row_geometric_mean,
     run_simulation,
     validate,
@@ -27,7 +26,7 @@ from pcmkit.consistency import SAATY_SCALE
 from pcmkit.core import ReciprocityPolicy, reciprocal_from_upper
 from pcmkit.metrics import METRICS, comparison_flags, metric_blocks
 from pcmkit.montecarlo import (
-    CrHistogram,
+    _ROWS,
     SimTask,
     batch_vectors,
     perturbed_batch,
@@ -37,14 +36,16 @@ from pcmkit.montecarlo import (
 )
 from pcmkit.weighting import _ci
 
-from conftest import assert_columns_match_reference, reference_bins
+from conftest import (assert_columns_match_reference, consistent_from_weights, cr_share_below,
+                      reference_bins)
 
 
 class TestGenerator:
     def test_vanishing_noise_keeps_consistency(self):
         cfg = GeneratorConfig(n=6, delta=1e-12, seed=4)
-        m = generate_perturbed(cfg)
-        assert is_consistent(m, 1e-9)
+        a = generate_perturbed(cfg).entries
+        # Every triad a_ij * a_jk = a_ik within 1e-9 relative.
+        assert np.allclose(a[:, :, None] * a[None, :, :], a[:, None, :], rtol=1e-9, atol=0)
 
     def test_deterministic_for_seed(self):
         cfg = GeneratorConfig(n=5, delta=2.0, seed=123)
@@ -107,7 +108,7 @@ class TestGenerator:
                                   bin_width=1e-5, min_bin_count=0)
         result = run_simulation(config, default_ri_table())
         assert config.n_bins == 50_000
-        assert int(result.histogram.counts[(4, 1.0)].sum()) == 50
+        assert result.cell_tables[(4, 1.0)][0].sum() == 50
 
     def test_bins_beyond_memory_are_refused_before_running(self, monkeypatch):
         config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=10,
@@ -329,7 +330,7 @@ class TestGeneratorAgainstIndependentReference:
         config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=count,
                                   seed=77)
         result = run_simulation(config, table)
-        fraction = result.histogram.fraction_below(4, 1.0, 0.1)
+        fraction = cr_share_below(result, 4, 1.0, 0.1)
         assert abs(fraction - reference_fraction) < 0.01
 
 
@@ -395,8 +396,6 @@ class TestClosestProbability:
     inverse-left vector, where the two coincide analytically."""
 
     def test_consistent_records_all_closer(self, toy_ri_table):
-        from pcmkit import consistent_from_weights
-
         rng = np.random.default_rng(40)
         records = []
         for _ in range(5):
@@ -415,40 +414,53 @@ class TestClosestProbability:
             assert np.mean([r.closer[metric] for r in records]) == 1.0
 
 
+def _share_below(columns, cr: float) -> float:
+    """Share of a table's matrices in bins whose lower edge is under `cr`."""
+    return float(columns.count[columns.lower < cr].sum() / columns.count.sum())
+
+
 class TestFractionBelow:
+    """CR shares read through `bin_columns`, the one reader of the counts."""
+
     @pytest.fixture()
-    def histogram(self):
+    def columns(self):
         # 50 records in bin 10, [0.05, 0.055), and 50 in the overflow bucket.
-        counts = np.zeros(101, dtype=np.int64)
-        counts[10] = counts[100] = 50
-        return CrHistogram(0.005, 0.5, {(4, 1.0): counts})
+        config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=100)
+        table = np.zeros((_ROWS, config.n_bins + 1))
+        table[0, 10] = table[0, config.n_bins] = 50
+        return bin_columns(config, table)
+
+    def test_overflow_bin_starts_at_the_cap(self, columns):
+        assert columns.lower.tolist() == [0.05, 0.5]
+        assert columns.overflow.tolist() == [False, True]
 
     @pytest.mark.parametrize("cr, share", [(0.0, 0.0), (0.05, 0.0), (0.055, 0.5),
                                            (0.1, 0.5), (0.495, 0.5), (0.5, 0.5)])
-    def test_bin_edges(self, histogram, cr, share):
-        assert histogram.fraction_below(4, 1.0, cr) == share
-
-    @pytest.mark.parametrize("cr", [0.6, 0.0526, -0.005, 0.5001, float("nan"), float("inf")])
-    def test_value_that_is_not_a_bin_edge_rejected(self, histogram, cr):
-        with pytest.raises(ValueError, match="not a bin edge"):
-            histogram.fraction_below(4, 1.0, cr)
+    def test_bin_edges(self, columns, cr, share):
+        assert _share_below(columns, cr) == share
 
     def test_cap_that_is_not_a_multiple_of_the_width(self):
         # bin_width 0.03 under cap 0.1: edges 0, 0.03, 0.06, 0.09 and the cap.
         config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=1,
                                   bin_width=0.03, cr_cap=0.1)
-        counts = np.array([1, 2, 3, 4, 5])
-        histogram = CrHistogram(config.bin_width, config.cr_cap, {(4, 1.0): counts})
+        table = np.zeros((_ROWS, 5))
+        table[0] = [1, 2, 3, 4, 5]
+        columns = bin_columns(config, table)
         assert config.n_bins == 4
-        assert histogram.fraction_below(4, 1.0, 0.09) == 6 / 15
-        assert histogram.fraction_below(4, 1.0, 0.1) == 10 / 15
-        with pytest.raises(ValueError):
-            histogram.fraction_below(4, 1.0, 0.12)
+        assert columns.lower.tolist() == [0.0, 0.03, 0.06, 3 * 0.03, 0.1]
+        assert _share_below(columns, 0.09) == 6 / 15
+        assert _share_below(columns, 0.1) == 10 / 15
 
-    def test_cell_without_matrices_rejected(self):
-        histogram = CrHistogram(0.005, 0.5, {(4, 1.0): np.zeros(101, dtype=np.int64)})
-        with pytest.raises(ValueError, match=r"cell \(n=4, delta=1.0\) holds no matrices"):
-            histogram.fraction_below(4, 1.0, 0.1)
+    def test_cell_without_matrices_has_no_bins(self):
+        config = SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=1)
+        columns = bin_columns(config, np.zeros((_ROWS, config.n_bins + 1)))
+        assert columns.count.size == columns.lower.size == 0
+
+    @pytest.mark.parametrize("cr", [0.05, 0.1, 0.2])
+    def test_count_row_agrees_with_bin_columns(self, small_result, cr):
+        columns = bin_columns(small_result.config, small_result.cell_tables[(4, 1.0)])
+        assert cr_share_below(small_result, 4, 1.0, cr) == pytest.approx(
+            _share_below(columns, cr - small_result.config.bin_width / 2), rel=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -464,9 +476,8 @@ def small_columns(small_result):
 
 
 def _assert_same_tables(a, b):
-    """Equal raw sums: every order table, cell table and histogram row."""
-    for x, y in ((a.order_tables, b.order_tables), (a.cell_tables, b.cell_tables),
-                 (a.histogram.counts, b.histogram.counts)):
+    """Equal raw sums: every order table and cell table."""
+    for x, y in ((a.order_tables, b.order_tables), (a.cell_tables, b.cell_tables)):
         assert list(x) == list(y)
         for key in x:
             assert np.array_equal(x[key], y[key]), key
@@ -474,7 +485,7 @@ def _assert_same_tables(a, b):
 
 class TestSimulationContracts:
     def test_conservation(self, small_result, small_columns):
-        assert small_result.histogram.total(4, 1.0) == 10_000
+        assert small_result.cell_tables[(4, 1.0)][0].sum() == 10_000
         assert int(small_columns.count.sum()) == 10_000
 
     def test_suppression_flags(self, small_result, small_columns):
@@ -538,7 +549,6 @@ class TestSimulationContracts:
         a, b = run_simulation(config), run_simulation(config)
         _assert_same_tables(a, b)
         assert a == a and a != b
-        assert a.histogram == a.histogram and a.histogram != b.histogram
         columns = bin_columns(config, a.order_tables[4])
         assert columns == columns and columns != bin_columns(config, b.order_tables[4])
         task, ri = simulation_tasks(config)[0], default_ri_table().ri(4)

@@ -14,20 +14,17 @@ from pcmkit import (
     aggregate_priorities_geometric,
     combined_eigenvector,
     compare_methods,
-    consistent_from_weights,
     eigen_system,
     inverse_left_eigenvector,
     left_eigenvector,
     normalize,
-    permute,
     right_eigenvector,
     row_geometric_mean,
-    transpose,
     validate,
     weighting,
 )
 
-from conftest import random_reciprocal
+from conftest import consistent_from_weights, permute, random_reciprocal, transpose
 
 
 def repeated_squaring_weights(entries: np.ndarray, squarings: int = 60) -> np.ndarray:
