@@ -14,7 +14,6 @@ from .consistency import (
     estimate_random_index,
 )
 from .core import (
-    Normalization,
     PCMatrix,
     ReciprocityMode,
     ReciprocityPolicy,

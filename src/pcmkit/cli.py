@@ -12,6 +12,7 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .consistency import (
 )
 from .core import (
     DEFAULT_FILE_TOLERANCE,
-    Normalization,
     PCMatrix,
     ReciprocityMode,
     ReciprocityPolicy,
@@ -112,16 +112,16 @@ def _print_table(rows) -> None:
         print("  ".join(s.rjust(w) for s, w in zip(r, widths)))
 
 
-def _print_weight_table(matrix: PCMatrix, methods, scale: Normalization) -> None:
+def _print_weight_table(matrix: PCMatrix, methods, factor: float) -> None:
     rows = [["method"] + [f"w{i + 1}" for i in range(matrix.n)]]
     for m in methods:
-        vec = _METHOD_VECTORS[m](matrix).rescaled(scale)
-        rows.append([m] + [_round_half_away(v) for v in vec.priorities])
+        scaled = _METHOD_VECTORS[m](matrix).priorities * factor
+        rows.append([m] + [_round_half_away(v) for v in scaled])
     _print_table(rows)
 
 
-def _scale_from_args(args) -> Normalization:
-    return Normalization.SUM_HUNDRED if args.scale == "sum100" else Normalization.SUM_ONE
+def _scale_from_args(args) -> float:
+    return 100.0 if args.scale == "sum100" else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +334,18 @@ def cmd_simulate(args) -> int:
 def cmd_aggregate(args) -> int:
     policy = _policy_from_args(args)
     matrices = [load_matrix(p, policy) for p in args.matrices]
-    scale = _scale_from_args(args)
+    factor = _scale_from_args(args)
     if args.mode == "aij":
         merged = aggregate_matrices_geometric(matrices)
         print("aggregated matrix (entrywise geometric mean):")
         for row in merged.entries:
             print("  " + "  ".join(f"{v:10.4f}" for v in row))
-        _print_weight_table(merged, list(_METHOD_VECTORS), scale)
+        _print_weight_table(merged, list(_METHOD_VECTORS), factor)
     else:
         vectors = [_METHOD_VECTORS[args.method](m) for m in matrices]
-        agg = aggregate_priorities_geometric(vectors).rescaled(scale)
+        agg = aggregate_priorities_geometric(vectors).priorities * factor
         print(f"aggregated {args.method} priorities (componentwise geometric mean):")
-        print("  " + "  ".join(_round_half_away(v) for v in agg.priorities))
+        print("  " + "  ".join(_round_half_away(v) for v in agg))
     return 0
 
 
@@ -393,7 +393,9 @@ def cmd_ri_estimate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="pcmkit",
         description="Priority derivation and consistency analysis for pairwise comparison matrices.",
@@ -464,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PcmError, ValueError, OSError, MemoryError) as exc:

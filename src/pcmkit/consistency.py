@@ -42,14 +42,21 @@ DEFAULT_RI_SEED = 271828
 
 @dataclass(frozen=True)
 class RiProvenance:
-    """Where an RI value came from: estimated here (samples, seed) or supplied."""
+    """Where an RI value came from: `samples` draws from `seed`, or supplied (0 samples)."""
 
-    kind: str  # "estimated" | "supplied"
-    samples: int | None = None
-    seed: int | None = None
+    samples: int = 0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.samples < 0 or self.seed < 0:
+            raise ValueError("samples and seed must be non-negative")
+
+    @property
+    def kind(self) -> str:
+        return "estimated" if self.samples else "supplied"
 
     def describe(self) -> str:
-        if self.kind == "estimated":
+        if self.samples:
             return f"estimated(samples={self.samples}, seed={self.seed})"
         return "supplied"
 
@@ -94,7 +101,7 @@ class RiTable:
 
     @classmethod
     def supplied(cls, values: Mapping[int, float]) -> "RiTable":
-        return cls(dict(values), dict.fromkeys(values, RiProvenance("supplied")))
+        return cls(dict(values), dict.fromkeys(values, RiProvenance()))
 
     @classmethod
     def from_file(cls, path) -> "RiTable":
@@ -112,14 +119,11 @@ class RiTable:
                 try:
                     n, samples, seed = int(parts[0]), int(parts[2]), int(parts[3])
                     ri = float(parts[1])
+                    if first.setdefault(n, lineno) != lineno:
+                        raise ValueError(f"order {n} repeats line {first[n]}")
+                    values[n], prov[n] = ri, RiProvenance(samples, seed)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-                if first.setdefault(n, lineno) != lineno:
-                    raise ValueError(f"{path}:{lineno}: order {n} repeats line {first[n]}")
-                if samples < 0 or seed < 0:
-                    raise ValueError(f"{path}:{lineno}: samples and seed must be non-negative")
-                values[n], prov[n] = ri, (RiProvenance("estimated", samples, seed) if samples
-                                          else RiProvenance("supplied"))
         if not values:
             raise ValueError(f"{path}: no random-index entries found")
         try:
@@ -129,7 +133,7 @@ class RiTable:
 
     def lines(self) -> list[str]:
         """The `n ri samples seed` line of every order, in order."""
-        return [f"{n} {self.values[n]:.12g} {p.samples or 0} {p.seed or 0}"
+        return [f"{n} {self.values[n]:.12g} {p.samples} {p.seed}"
                 for n, p in sorted(self.provenance.items())]
 
     def to_file(self, path) -> None:
@@ -320,4 +324,4 @@ def build_ri_table(orders, samples: int, base_seed: int, *,
     for total, (n, *_) in zip(_ordered_map(_ri_chunk_sum, args, workers), args):
         sums[n].append(total)
     values = {n: float(sum(s) / samples) for n, s in sums.items()}
-    return RiTable(values, {n: RiProvenance("estimated", samples, base_seed + n) for n in orders})
+    return RiTable(values, {n: RiProvenance(samples, base_seed + n) for n in orders})

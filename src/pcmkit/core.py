@@ -39,13 +39,6 @@ DEFAULT_API_TOLERANCE = 1e-9
 DEFAULT_FILE_TOLERANCE = 1e-3
 
 
-class Normalization(enum.Enum):
-    """Target total for a priority vector: unit sum or percentage sum."""
-
-    SUM_ONE = 1.0
-    SUM_HUNDRED = 100.0
-
-
 class ReciprocityMode(enum.Enum):
     STRICT = "strict"
     REPAIR_FROM_UPPER = "repair-from-upper"
@@ -157,37 +150,20 @@ def _require_vector(p: np.ndarray, what: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Normalized priority vector on a unit-sum or percentage scale."""
+    """Priority vector: positive, finite entries that sum to 1 within 1e-9."""
 
     priorities: np.ndarray
-    normalization: Normalization = Normalization.SUM_ONE
 
     def __post_init__(self):
         p = np.asarray(self.priorities, dtype=float)
         total = _require_vector(p, "priorities")
-        target = self.normalization.value
-        if abs(total - target) > 1e-9 * target:
-            raise NonPositiveWeightError(
-                f"priorities sum to {total!r}, expected {target} within 1e-9 relative"
-            )
+        if abs(total - 1.0) > 1e-9:
+            raise NonPositiveWeightError(f"priorities sum to {total!r}, expected 1 within 1e-9")
         object.__setattr__(self, "priorities", _as_readonly(p))
 
     @property
     def n(self) -> int:
         return self.priorities.shape[0]
-
-    def rescaled(self, target: Normalization) -> "WeightVector":
-        """The same priorities expressed on another normalization scale."""
-        if target is self.normalization:
-            return self
-        scaled = self.priorities * (target.value / self.normalization.value)
-        return WeightVector(scaled, target)
-
-    def unit(self) -> np.ndarray:
-        """Priorities on the unit-sum scale as a plain array."""
-        if self.normalization is Normalization.SUM_ONE:
-            return self.priorities
-        return self.priorities / self.normalization.value
 
 
 def _unit_vectors(rows: np.ndarray) -> list:
@@ -201,9 +177,9 @@ def _unit_vectors(rows: np.ndarray) -> list:
     for row, good in zip(rows, ok.tolist()):
         if good:
             v = WeightVector.__new__(WeightVector)
-            v.__dict__.update(priorities=row, normalization=Normalization.SUM_ONE)
+            v.__dict__.update(priorities=row)
         else:
-            v = partial(WeightVector, row, Normalization.SUM_ONE)
+            v = partial(WeightVector, row)
         vectors.append(v)
     return vectors
 
@@ -267,11 +243,11 @@ def validate(matrix, policy: ReciprocityPolicy | None = None) -> PCMatrix:
     return PCMatrix(a, policy.tolerance)
 
 
-def normalize(raw, target: Normalization = Normalization.SUM_ONE) -> WeightVector:
-    """Scale positive components so they sum to the target total."""
+def normalize(raw) -> WeightVector:
+    """Scale positive components so they sum to one."""
     p = np.asarray(raw, dtype=float)
     total = _require_vector(p, "components")
-    return WeightVector(p * (target.value / total), target)
+    return WeightVector(p * (1.0 / total))
 
 
 # ---------------------------------------------------------------------------

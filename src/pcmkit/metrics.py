@@ -29,7 +29,7 @@ PAIRS = ("inverse_left", "combined", "row_geometric_mean")
 def _unit(x) -> np.ndarray:
     """`x` at unit sum.  A raw vector must pass the WeightVector checks."""
     if isinstance(x, WeightVector):
-        return x.unit()
+        return x.priorities
     a = np.asarray(x, dtype=float)
     _require_vector(a, "entries")
     return a / _row_sum(a)

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .consistency import RiTable, consistency_ratio, default_ri_table
-from .core import Normalization, PCMatrix, reconcile_matrix_text
+from .core import PCMatrix, reconcile_matrix_text
 from .metrics import ComparisonRecord, compare_methods, euclidean
 from .weighting import (
     aggregate_matrices_geometric,
@@ -148,8 +148,8 @@ def _aggregation(ctx: _CaseContext, partner_text: str, aip_greater: int, aip_sma
     partner = ctx.matrices[partner_text]
     merged = aggregate_matrices_geometric([ctx.matrix, partner])
     ones_residual = float(np.max(np.abs(merged.entries - 1.0)))
-    merged_w = right_eigenvector(merged).weights.rescaled(Normalization.SUM_HUNDRED)
-    uniform_residual = float(np.max(np.abs(merged_w.priorities - 100.0 / ctx.matrix.n)))
+    merged100 = right_eigenvector(merged).weights.priorities * 100.0
+    uniform_residual = float(np.max(np.abs(merged100 - 100.0 / ctx.matrix.n)))
     aip = aggregate_priorities_geometric(
         [right_eigenvector(m).weights for m in (ctx.matrix, partner)]).priorities
     ordered = aip[aip_greater - 1] > aip[aip_smaller - 1]

@@ -28,8 +28,8 @@ from functools import partial
 import numpy as np
 
 from ._power import _row_sum, power_iterate
-from .core import (Normalization, PCMatrix, WeightVector, _unit_vectors, _upper_indices,
-                   normalize, reciprocal_from_upper)
+from .core import (PCMatrix, WeightVector, _unit_vectors, _upper_indices, normalize,
+                   reciprocal_from_upper)
 from .errors import DimensionMismatchError, EmptyListError, NoConvergenceError
 
 
@@ -195,7 +195,7 @@ def row_geometric_mean(matrix: PCMatrix) -> WeightVector:
     afresh by the same `_rgm_rows`.
     """
     if matrix._eigen is None:
-        return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0], Normalization.SUM_ONE)
+        return WeightVector(_rgm_rows(matrix.entries[:, :, None])[:, 0])
     return _finished(matrix._eigen[2][2])
 
 
@@ -231,5 +231,5 @@ def aggregate_priorities_geometric(vectors) -> WeightVector:
     for v in vecs[1:]:
         if v.n != n:
             raise DimensionMismatchError(f"vector lengths differ: {v.n} != {n}")
-    mean_log = np.mean([np.log(v.unit()) for v in vecs], axis=0)
-    return normalize(np.exp(mean_log), Normalization.SUM_ONE)
+    mean_log = np.mean([np.log(v.priorities) for v in vecs], axis=0)
+    return normalize(np.exp(mean_log))

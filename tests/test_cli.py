@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcmkit import METRICS, bin_columns, format_matrix_text
-from pcmkit.cli import WORKERS_ENV, _parse_simulation_config, main
+from pcmkit import (METRICS, aggregate_priorities_geometric, bin_columns, combined_eigenvector,
+                    format_matrix_text, inverse_left_eigenvector, load_matrix,
+                    right_eigenvector, row_geometric_mean)
+from pcmkit.cli import (WORKERS_ENV, _parse_simulation_config, _round_half_away, build_parser,
+                        main)
 
 from conftest import reference_bins
 
@@ -543,6 +546,60 @@ class TestSimulateCommand:
         config.write_text(TINY_CONFIG)
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
         assert WORKERS_ENV in capsys.readouterr().err
+
+
+UNIT_VECTORS = {
+    "right": lambda m: right_eigenvector(m).weights,
+    "left-inverse": inverse_left_eigenvector,
+    "rl": combined_eigenvector,
+    "rgm": row_geometric_mean,
+}
+
+
+class TestPercentScale:
+    """--scale sum100 prints each unit-sum vector times 100, rounded half away
+    from zero at four places: a percentage is a print format only."""
+
+    def test_weights_all_methods(self, five_alt_file, capsys):
+        assert main(["weights", five_alt_file, "--method", "all", "--scale", "sum100"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        matrix = load_matrix(five_alt_file)
+        assert rows == [[m] + [_round_half_away(p * 100.0) for p in vector(matrix).priorities]
+                        for m, vector in UNIT_VECTORS.items()]
+
+    @pytest.mark.parametrize("method", list(UNIT_VECTORS))
+    def test_aggregate_aip(self, tmp_path, capsys, method):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path, text in zip(paths, (JUDGE_1_TEXT, JUDGE_2_TEXT)):
+            path.write_text(text)
+        assert main(["aggregate", *map(str, paths), "--mode", "aip", "--method", method,
+                     "--scale", "sum100"]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1].split()
+        agg = aggregate_priorities_geometric(
+            [UNIT_VECTORS[method](load_matrix(path)) for path in paths])
+        assert printed == [_round_half_away(p * 100.0) for p in agg.priorities]
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_each_print_what_they_print_alone(self, five_alt_file, capsys):
+        # A flag or default from one call must not carry into the next.
+        runs = [["weights", five_alt_file, "--method", "rgm", "--scale", "sum1"],
+                ["weights", five_alt_file],
+                ["ri-estimate", "--orders", "3", "--samples", "1000", "--seed", "4"],
+                ["ri-estimate", "--orders", "4", "--samples", "1000"]]
+        src = Path(__file__).resolve().parents[1] / "src"
+        alone = [subprocess.run([sys.executable, "-m", "pcmkit.cli", *argv], check=True,
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(src))).stdout
+                 for argv in runs]
+        in_turn = []
+        for argv in runs:
+            assert main(argv) == 0
+            in_turn.append(capsys.readouterr().out)
+        assert in_turn == alone
 
 
 class TestAggregateCommand:

@@ -252,18 +252,35 @@ class TestRiTableIO:
             RiTable.from_file(path)
         assert str(info.value) == f"{path}:3: samples and seed must be non-negative"
 
+    @pytest.mark.parametrize("samples", [0, 1, 1000, 2**63])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    def test_every_provenance_survives_its_own_file(self, tmp_path, samples, seed):
+        # The file holds samples and seed only, so a provenance is those two:
+        # 0 samples reads back as supplied, any other count as estimated.
+        prov = RiProvenance(samples, seed)
+        path = tmp_path / "ri.txt"
+        RiTable({3: 0.5}, {3: prov}).to_file(path)
+        again = RiTable.from_file(path).provenance_of(3)
+        assert again == prov
+        assert again.describe() == prov.describe()
+        assert again.kind == ("estimated" if samples else "supplied")
+
+    @pytest.mark.parametrize("samples, seed", [(-1, 0), (1000, -5)])
+    def test_a_negative_provenance_cannot_be_built(self, samples, seed):
+        with pytest.raises(ValueError, match="samples and seed must be non-negative"):
+            RiProvenance(samples, seed)
+
     @pytest.mark.parametrize("ri", [-0.9, 0.0, float("nan"), float("inf")])
     def test_rejects_values_not_finite_and_positive(self, ri):
         with pytest.raises(ValueError, match="order 5"):
             RiTable.supplied({4: 0.9, 5: ri})
 
-    @pytest.mark.parametrize("provenance", [{3: "supplied"}, {3: "supplied", 5: "supplied"}],
-                             ids=["missing", "other"])
-    def test_rejects_values_and_provenance_of_other_orders(self, provenance):
+    @pytest.mark.parametrize("orders", [(3,), (3, 5)], ids=["missing", "other"])
+    def test_rejects_values_and_provenance_of_other_orders(self, orders):
         with pytest.raises(ValueError) as info:
-            RiTable({3: 0.5, 4: 0.9}, {n: RiProvenance(p) for n, p in provenance.items()})
+            RiTable({3: 0.5, 4: 0.9}, dict.fromkeys(orders, RiProvenance()))
         assert str(info.value) == (f"orders of values [3, 4] and of provenance "
-                                   f"{sorted(provenance)} differ")
+                                   f"{sorted(orders)} differ")
 
 
 class TestShippedTable:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmkit import (
-    Normalization,
     NonPositiveEntryError,
     NonPositiveWeightError,
     NonSquareError,
@@ -270,10 +269,6 @@ class TestPermutation:
 
 
 class TestNormalize:
-    def test_sum_hundred(self):
-        v = normalize((2.0, 1.0, 1.0), Normalization.SUM_HUNDRED)
-        assert np.allclose(v.priorities, (50.0, 25.0, 25.0), rtol=0, atol=1e-12)
-
     def test_sum_one_fractions(self):
         v = normalize((4.0, 5.0, 8.0, 1.0))
         assert np.allclose(v.priorities, (2 / 9, 5 / 18, 4 / 9, 1 / 18), rtol=1e-15)
@@ -294,12 +289,6 @@ class TestNormalize:
             normalize((1e308, 1e308, 1.0))
         with pytest.raises(NonPositiveWeightError, match="sum of the priorities overflows"):
             WeightVector(np.array([1e308, 1e308, 1.0]))
-
-    def test_rescaled_round_trip(self):
-        v = normalize((1.0, 2.0, 3.0))
-        assert np.allclose(
-            v.rescaled(Normalization.SUM_HUNDRED).unit(), v.priorities, rtol=1e-15
-        )
 
 
 class TestTextFormat:

@@ -26,11 +26,11 @@ SRC = Path(pcmkit.__file__).resolve().parents[1]
 DEFERRED = ("pcmkit.montecarlo", "pcmkit.verify", "multiprocessing", "fractions")
 
 # Every name `pcmkit` exported before its simulation and verification names
-# became lazy.
+# became lazy, less those since removed.
 EXPORTS = (
     "ConsistencyReport", "RiProvenance", "RiTable", "build_ri_table", "consistency_index",
     "consistency_ratio", "default_ri_table", "estimate_random_index",
-    "Normalization", "PCMatrix", "ReciprocityMode", "ReciprocityPolicy", "WeightVector",
+    "PCMatrix", "ReciprocityMode", "ReciprocityPolicy", "WeightVector",
     "format_matrix_text", "load_matrix", "normalize", "parse_matrix_text",
     "reconcile_matrix_text", "validate",
     "DimensionMismatchError", "EmptyListError", "MissingRiError", "NoConvergenceError",
@@ -48,8 +48,9 @@ EXPORTS = (
 )
 
 # Once exported and since deleted: only tests used them.
-REMOVED = {"CrHistogram": "montecarlo", "consistent_from_weights": "core",
-           "is_consistent": "core", "permute": "core", "transpose": "core"}
+REMOVED = {"CrHistogram": "montecarlo", "Normalization": "core",
+           "consistent_from_weights": "core", "is_consistent": "core", "permute": "core",
+           "transpose": "core"}
 
 MATRIX = """4
 1    3    1.5  0.5

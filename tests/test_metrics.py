@@ -11,7 +11,6 @@ from pcmkit import (
     euclidean,
     kendall_tau,
     max_ratio,
-    normalize,
     validate,
 )
 from pcmkit.metrics import METRICS, comparison_flags, metric_blocks, record_from_vectors
@@ -104,14 +103,6 @@ class TestKendallTau:
 
 
 class TestNormalizationHandling:
-    def test_weight_vectors_compared_on_unit_scale(self):
-        from pcmkit import Normalization
-
-        a = normalize((2.0, 1.0, 1.0), Normalization.SUM_HUNDRED)
-        b = normalize((2.0, 1.0, 1.0), Normalization.SUM_ONE)
-        assert euclidean(a, b) == 0.0
-        assert max_ratio(a, b) == 1.0
-
     @pytest.mark.parametrize("metric", [euclidean, chebyshev, max_ratio, kendall_tau])
     @pytest.mark.parametrize("raw", [(1.0, -2.0, 3.0), (0.0, 0.0, 0.0), (1.0, np.inf, 3.0),
                                      (1.0, np.nan, 3.0), (2.0,), ((1.0, 2.0), (3.0, 4.0)),

@@ -8,7 +8,6 @@ from pcmkit import (
     DimensionMismatchError,
     EmptyListError,
     NoConvergenceError,
-    Normalization,
     PCMatrix,
     aggregate_matrices_geometric,
     aggregate_priorities_geometric,
@@ -300,8 +299,3 @@ class TestSolverConfig:
         assert np.array_equal(a.weights.priorities, b.weights.priorities)
         assert a.lambda_max == b.lambda_max
         assert a.iterations == b.iterations
-
-    def test_weights_scaled_views(self, five_alt):
-        w = right_eigenvector(five_alt).weights
-        hundred = w.rescaled(Normalization.SUM_HUNDRED)
-        assert hundred.priorities.sum() == pytest.approx(100.0, abs=1e-9)
