@@ -42,6 +42,7 @@ from .weighting import (
     inverse_left_eigenvector,
     right_eigenvector,
     row_geometric_mean,
+    solve_together,
 )
 
 # The simulation and the verification suite are imported by the commands
@@ -342,6 +343,8 @@ def cmd_aggregate(args) -> int:
             print("  " + "  ".join(f"{v:10.4f}" for v in row))
         _print_weight_table(merged, list(_METHOD_VECTORS), factor)
     else:
+        if args.method != "rgm":  # the RGM needs no solve
+            solve_together(matrices)
         vectors = [_METHOD_VECTORS[args.method](m) for m in matrices]
         agg = aggregate_priorities_geometric(vectors).priorities * factor
         print(f"aggregated {args.method} priorities (componentwise geometric mean):")

@@ -55,9 +55,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"matrix order must be >= 3, got {self.n}")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"perturbation half-width must be finite and positive, "
-                             f"got {self.delta}")
+        if not (math.isfinite(2.0 * self.delta) and self.delta > 0.0):
+            raise ValueError(f"perturbation half-width must be positive with a finite "
+                             f"width 2 * delta, got {self.delta}")
         if not (0.0 < self.weight_low < self.weight_high < math.inf):
             raise ValueError("need 0 < weight_low < weight_high < inf")
         if self.seed < 0:
@@ -90,8 +90,9 @@ class SimulationConfig:
         object.__setattr__(self, "deltas", deltas)
         if not dims or min(dims) < 3:
             raise ValueError("dims must contain orders >= 3")
-        if not deltas or not all(math.isfinite(d) and d > 0.0 for d in deltas):
-            raise ValueError(f"deltas must be finite and positive, got {deltas}")
+        if not deltas or not all(math.isfinite(2.0 * d) and d > 0.0 for d in deltas):
+            raise ValueError(f"deltas must be positive with finite widths 2 * delta, "
+                             f"got {deltas}")
         if self.matrices_per_cell < 1:
             raise ValueError("matrices_per_cell must be >= 1")
         if not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
@@ -345,12 +346,14 @@ def run_task(config: SimulationConfig, task: SimTask, ri: float) -> TaskPartial:
 
     cr = _ci(lam, task.n) / ri
     nb = config.n_bins
-    bins = np.minimum((cr / config.bin_width).astype(np.int64), nb - 1)
+    # Clipped as floats: a CR too large for int64 would not cast.
+    bins = np.minimum(cr / config.bin_width, nb - 1).astype(np.int64)
     bins = np.where(cr >= config.cr_cap, nb, bins)
 
     values = metric_blocks(wr, (inv, combined, rgm))
     closer_flags, top_rev = comparison_flags(values, wr, inv)
-    rows = np.vstack([np.ones_like(cr), values.reshape(-1, len(cr)), closer_flags, top_rev])
+    # A row count, not a column count: a batch in which every matrix failed has no columns.
+    rows = np.vstack([np.ones_like(cr), values.reshape(_CLOSER - 1, -1), closer_flags, top_rev])
     # One bincount over every row: it adds in input order, so each slot gets
     # the same bits as a bincount of its row alone.
     index = np.arange(_ROWS)[:, None] * (nb + 1) + bins
@@ -399,12 +402,21 @@ def reduce_partials(config: SimulationConfig,
                             order_tables=pooled, nonconverged=nonconverged)
 
 
-def _check_bin_memory(config: SimulationConfig) -> None:
-    """Refuse a run whose bin tables cannot fit in this machine's memory.
+# Bytes that one task holds while a run is set up and reduced: its SimTask
+# and argument tuple, the reduction's (cell, batch) key and pending-set entry,
+# and its share of the task list the reduction rebuilds.  Peak measured with
+# tracemalloc on CPython 3.11, 64-bit: 424 bytes per task at 1e5-2e5 tasks.
+_TASK_BYTES = 424
+
+
+def _check_memory(config: SimulationConfig) -> None:
+    """Refuse a run whose bin tables or task list cannot fit in this
+    machine's memory.
 
     The reduction holds one bin table per cell and one per order, plus the
     partials in flight, each a table of its own.  Only the first two grow
-    with the grid, so those and one partial are counted.
+    with the grid, so those and one partial are counted, and beside them
+    `_TASK_BYTES` for every task.
     """
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -416,6 +428,11 @@ def _check_bin_memory(config: SimulationConfig) -> None:
         raise ValueError(
             f"bin_width {config.bin_width} gives {config.n_bins:.3g} bins; {tables} bin "
             f"tables of them need more than the {memory / 2**30:.1f} GiB of memory")
+    tasks = len(config.cells()) * -(-config.matrices_per_cell // _BATCH)
+    if need + _TASK_BYTES * tasks > memory:
+        raise ValueError(
+            f"counts {config.matrices_per_cell} gives {tasks:.3g} tasks of up to {_BATCH} "
+            f"matrices; their list needs more than the {memory / 2**30:.1f} GiB of memory")
 
 
 def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
@@ -431,7 +448,7 @@ def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,
     """
     table = ri_table if ri_table is not None else default_ri_table()
     ris = {n: table.ri(n) for n in config.dims}
-    _check_bin_memory(config)
+    _check_memory(config)
     args = [(config, t, ris[t.n]) for t in simulation_tasks(config)]
     try:
         result = reduce_partials(config, _ordered_map(run_task, args, workers))

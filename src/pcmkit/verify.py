@@ -19,7 +19,7 @@ import numpy as np
 
 from .consistency import RiTable, consistency_ratio, default_ri_table
 from .core import PCMatrix, reconcile_matrix_text
-from .metrics import ComparisonRecord, compare_methods, euclidean
+from .metrics import ComparisonRecord, compare_methods
 from .weighting import (
     aggregate_matrices_geometric,
     aggregate_priorities_geometric,
@@ -32,11 +32,13 @@ from .weighting import (
 
 class _CaseContext:
     """Derived quantities of one matrix: its weight vectors on the sum-100
-    scale at once, its CR and comparison record on first use.  `matrices`
-    holds the run's matrix of every case text."""
+    scale at once, its CR and comparison record on first use.  A case with
+    an aggregation partner also holds the run's matrix of the partner and
+    the merged matrix of the two, both solved with the case matrices."""
 
-    def __init__(self, matrix: PCMatrix, ri_table: RiTable, matrices: dict[str, PCMatrix]):
-        self.matrix, self.ri_table, self.matrices = matrix, ri_table, matrices
+    def __init__(self, matrix: PCMatrix, ri_table: RiTable,
+                 partner: PCMatrix | None = None, merged: PCMatrix | None = None):
+        self.matrix, self.ri_table, self.partner, self.merged = matrix, ri_table, partner, merged
         right, left = eigen_system(matrix)
         self.weights100 = {"right": right.weights.priorities * 100.0,
                            "left": left.weights.priorities * 100.0,
@@ -129,7 +131,7 @@ def _gap(ctx: _CaseContext, first: int, second: int, expected_right: float,
 
 def _tiny_distance_reversal(ctx: _CaseContext, euclidean_below: float):
     """Rank reversal occurs although the eigenvectors are almost identical."""
-    dist = euclidean(ctx.right100 / 100.0, ctx.inverse_left100 / 100.0)
+    dist = ctx.record.value("euclidean", "inverse_left")
     ok = ctx.record.any_reversal and dist < euclidean_below
     return (f"reversal with euclidean distance below {euclidean_below:g}", ok,
             f"euclidean {dist:.2e}, any_reversal {ctx.record.any_reversal}")
@@ -141,12 +143,11 @@ def _inverse_left_equals_right(ctx: _CaseContext, tolerance: float):
             f"max relative residual {residual:.3e}")
 
 
-def _aggregation(ctx: _CaseContext, partner_text: str, aip_greater: int, aip_smaller: int):
-    """Judgment aggregation of two opposed judges is the all-ones matrix with
-    uniform priorities, while priority aggregation keeps component
-    `aip_greater` above `aip_smaller`."""
-    partner = ctx.matrices[partner_text]
-    merged = aggregate_matrices_geometric([ctx.matrix, partner])
+def _aggregation(ctx: _CaseContext, aip_greater: int, aip_smaller: int):
+    """Judgment aggregation of the case and its opposed partner judge is the
+    all-ones matrix with uniform priorities, while priority aggregation keeps
+    component `aip_greater` above `aip_smaller`."""
+    partner, merged = ctx.partner, ctx.merged
     ones_residual = float(np.max(np.abs(merged.entries - 1.0)))
     merged100 = right_eigenvector(merged).weights.priorities * 100.0
     uniform_residual = float(np.max(np.abs(merged100 - 100.0 / ctx.matrix.n)))
@@ -184,10 +185,14 @@ class CheckOutcome:
 
 @dataclass(frozen=True)
 class VerifyCase:
+    """A published matrix and its checks.  `aggregation_partner` is the text
+    of the judge whose matrix `_aggregation` merges with this one."""
+
     name: str
     source: str
     matrix_text: str
     checks: tuple[Check, ...]
+    aggregation_partner: str | None = None
 
     @property
     def matrix(self) -> PCMatrix:
@@ -275,8 +280,9 @@ CASES: tuple[VerifyCase, ...] = (
         matrix_text=_JUDGE_1,
         checks=(
             Check(_weights, "right", (32.42, 35.02, 28.21, 4.35), 0.005),
-            Check(_aggregation, _JUDGE_2, aip_greater=2, aip_smaller=1),
+            Check(_aggregation, aip_greater=2, aip_smaller=1),
         ),
+        aggregation_partner=_JUDGE_2,
     ),
     VerifyCase(
         name="opposed-judges-second",
@@ -379,9 +385,14 @@ def run_verification(ri_table: RiTable | None = None) -> VerificationReport:
     started = time.perf_counter()
     outcomes = []
     matrices = {case.matrix_text: case.matrix for case in CASES}
-    solve_together(matrices.values())
+    # Each merged matrix is solved with the case matrices of its order.
+    merged = {case.name: aggregate_matrices_geometric(
+                  [matrices[case.matrix_text], matrices[case.aggregation_partner]])
+              for case in CASES if case.aggregation_partner}
+    solve_together([*matrices.values(), *merged.values()])
     for case in CASES:
-        ctx = _CaseContext(matrices[case.matrix_text], table, matrices)
+        ctx = _CaseContext(matrices[case.matrix_text], table,
+                           matrices.get(case.aggregation_partner), merged.get(case.name))
         for check in case.checks:
             outcomes.append(CheckOutcome(case.name, *check.evaluate(ctx)))
     return VerificationReport(tuple(outcomes), time.perf_counter() - started)

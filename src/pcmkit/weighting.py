@@ -81,7 +81,7 @@ def _vector_rows(mats: np.ndarray, right: np.ndarray, left: np.ndarray,
         inverse_left /= _row_sum(inverse_left)
         combined = right * inverse_left
         combined /= _row_sum(combined)
-    agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * len(mats) * _TOL) * lam_right
+        agree = np.abs(lam_left - lam_right) <= max(1e-9, 4.0 * len(mats) * _TOL) * lam_right
     return inverse_left, combined, _rgm_rows(mats), agree
 
 

@@ -265,6 +265,25 @@ class TestGenerateCommand:
         assert "pcmkit: error:" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    def test_half_width_of_infinite_width_exits_2(self, tmp_path, capsys):
+        # 2 * 1e308 overflows: the draw would span no finite range.
+        assert main(["generate", "--n", "4", "--delta", "1e308",
+                     "--out-dir", str(tmp_path / "m")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite width 2 * delta" in captured.err
+        assert not (tmp_path / "m").exists()
+
+    def test_unsolvable_extreme_matrix_exits_2_without_warning(self, tmp_path, capsys):
+        # Entries near 1e300 overflow the power iteration; its failure is
+        # reported as a message, and the eigenvalue check of the failed
+        # solve raises no numpy warning.
+        assert main(["generate", "--n", "4", "--delta", "1e300", "--count", "1",
+                     "--out-dir", str(tmp_path / "m")]) == 0
+        capsys.readouterr()
+        assert main(["weights", str(tmp_path / "m" / "matrix_0.txt")]) == 2
+        assert capsys.readouterr().err == \
+            "pcmkit: error: no convergence after 10000 iterations (residual nan)\n"
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_exits_2(self, tmp_path, capsys, count):
         assert main(["generate", "--n", "4", "--delta", "1", "--count", count,
@@ -504,7 +523,7 @@ class TestSimulateCommand:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("line", [
-        "deltas=nan", "deltas=1,inf", "bin_width=nan", "bin_width=inf",
+        "deltas=nan", "deltas=1,inf", "deltas=1e308", "bin_width=nan", "bin_width=inf",
         "cr_cap=inf", "cr_cap=nan",
     ])
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys, line):
@@ -523,6 +542,25 @@ class TestSimulateCommand:
         config.write_text(f"dims=4\ndeltas=1\ncounts=100\nseed=1\nbin_width={bin_width}\n")
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "bins" in capsys.readouterr().err
+
+    def test_task_list_beyond_memory_exits_2_at_once(self, tmp_path):
+        """1e14 matrices are 1.2e10 tasks, whose list alone exceeds any
+        machine's memory.  The run is refused before the list is built.  In
+        case it were not, it runs under a 2 GiB address-space cap and a
+        timeout, so that it fails alone instead of exhausting the machine."""
+        config = tmp_path / "sim.cfg"
+        config.write_text("dims=4\ndeltas=1\ncounts=99999999999999\nseed=1\n")
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from pcmkit.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code, "simulate", str(config),
+                               "--out", str(tmp_path / "x")], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("pcmkit: error: counts 99999999999999 gives 1.22e+10 tasks")
 
     def test_overflowing_fraction_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

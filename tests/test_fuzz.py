@@ -5,6 +5,9 @@ code 2 with a one-line message, never a traceback."""
 import contextlib
 import io
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +208,30 @@ class TestSimulationConfigText:
             code, err = _run_cli(["simulate", str(path), "--out", str(scratch / "out")])
             assert code == 2
             assert err.startswith("pcmkit: error: ") and err.count("\n") == 1
+
+
+_FAILING_THEN_PASSING = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
+    """Under the repository's pytest settings, which turn warnings into
+    errors, a failing hypothesis test is reported as a failure and the tests
+    after it still run."""
+    (tmp_path / "test_pair.py").write_text(_FAILING_THEN_PASSING)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(config), "--rootdir", str(tmp_path), "test_pair.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

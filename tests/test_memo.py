@@ -431,7 +431,8 @@ class TestCliSolvesOncePerMatrix:
         for method in ("right", "left-inverse", "rl", "rgm"):
             solves.clear()
             assert main(["aggregate", *judge_files, "--mode", "aip", "--method", method]) == 0
-            assert solves == ([] if method == "rgm" else [2] * 3)
+            # The three order-4 matrices with their transposes in one call.
+            assert solves == ([] if method == "rgm" else [6])
 
     def test_matrix_aggregation(self, judge_files, solves, capsys):
         assert main(["aggregate", *judge_files, "--mode", "aij"]) == 0
@@ -441,16 +442,19 @@ class TestCliSolvesOncePerMatrix:
 class TestVerifierSolvesOncePerMatrix:
     def test_every_run_solves_each_matrix_once(self, solves):
         orders = [case.matrix.n for case in CASES]
-        aggregations = sum(c.evaluator is verify._aggregation
-                           for case in CASES for c in case.checks)
-        assert (orders.count(4), orders.count(5), aggregations) == (5, 3, 1)
+        aggregations = [case for case in CASES for c in case.checks
+                        if c.evaluator is verify._aggregation]
+        assert (orders.count(4), orders.count(5)) == (5, 3)
+        assert [case.aggregation_partner for case in aggregations] == \
+            [case.matrix_text for case in CASES if case.name == "opposed-judges-second"]
+        assert [case for case in CASES if case.aggregation_partner] == aggregations
         for _ in range(2):
             solves.clear()
             assert run_verification().all_passed
             # The case matrices of each order with their transposes in one
-            # call, then the merged matrix of the aggregation check, whose
-            # partner is a case matrix; no solve is kept between runs.
-            assert solves == [10, 6, 2]
+            # call; the merged order-4 matrix of the aggregation check joins
+            # the order-4 call.  No solve is kept between runs.
+            assert solves == [12, 6]
 
 
 class TestMatrixValueSemantics:

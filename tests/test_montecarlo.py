@@ -89,6 +89,9 @@ class TestGenerator:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             GeneratorConfig(n=5, delta=0.0)
+        # The draw spans 2 * delta, which must be finite too.
+        with pytest.raises(ValueError, match="finite width"):
+            GeneratorConfig(n=5, delta=1e308)
         with pytest.raises(ValueError):
             GeneratorConfig(n=5, delta=1.0, weight_low=9.0, weight_high=1.0)
         with pytest.raises(ValueError):
@@ -515,9 +518,9 @@ class TestSimulationContracts:
     def test_no_convergence_failures(self, small_result):
         assert small_result.nonconverged == 0
 
-    def test_nonconverged_matrices_are_counted_and_refused(self, monkeypatch):
-        # Columns 0, 7 and 30 of every batch report no convergence.
-        failed = np.array([0, 7, 30])
+    # Columns 0, 7 and 30 of every batch report no convergence, or every column.
+    @pytest.mark.parametrize("failed", [np.array([0, 7, 30]), np.arange(200)])
+    def test_nonconverged_matrices_are_counted_and_refused(self, monkeypatch, failed):
         solve = montecarlo.power_iterate
 
         def failing(mats, tol, max_iter):
@@ -531,8 +534,18 @@ class TestSimulationContracts:
         partial = run_task(config, task, ri)
         assert partial.nonconverged == failed.size
         assert partial.table[0].sum() == task.count - failed.size
-        with pytest.raises(NoConvergenceError, match=": 6 matrices failed to converge;"):
+        with pytest.raises(NoConvergenceError,
+                           match=f": {2 * failed.size} matrices failed to converge;"):
             run_simulation(config, workers=1)
+
+    def test_cr_beyond_int64_lands_in_the_overflow_bin(self):
+        # At this half-width 30 of the 50 matrices fail to converge, and the
+        # CR of the other 20 divided by the bin width exceeds int64; the bins
+        # are clipped before the cast, so numpy warns of no invalid cast.
+        config = SimulationConfig(dims=(4,), deltas=(1e20,), matrices_per_cell=50, seed=1)
+        partial = run_task(config, simulation_tasks(config)[0], default_ri_table().ri(4))
+        assert partial.nonconverged == 30
+        assert partial.table[0, config.n_bins] == partial.table[0].sum() == 20
 
     def test_statistics_equal_per_bin_reference(self, small_result, small_columns):
         config = small_result.config
@@ -662,6 +675,14 @@ class TestSimulationConfigValidation:
             SimulationConfig(dims=(4,), deltas=(-1.0,), matrices_per_cell=10)
         with pytest.raises(ValueError):
             SimulationConfig(dims=(4,), deltas=(1.0,), matrices_per_cell=0)
+        with pytest.raises(ValueError, match="finite widths"):
+            SimulationConfig(dims=(4,), deltas=(1.0, 1e308), matrices_per_cell=10)
+
+    def test_widest_half_width_draws_finite_matrices(self):
+        half = np.finfo(float).max / 2
+        SimulationConfig(dims=(4,), deltas=(half,), matrices_per_cell=10)
+        entries = generate_perturbed(GeneratorConfig(n=4, delta=half, seed=1)).entries
+        assert np.all(np.isfinite(entries)) and np.all(entries > 0.0)
 
     def test_dims_and_deltas_normalized(self):
         config = SimulationConfig(dims=(5, 4, 5), deltas=(3.0, 1.0),
