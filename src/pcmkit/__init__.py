@@ -39,11 +39,7 @@ from .errors import (
 from .metrics import (
     METRICS,
     ComparisonRecord,
-    chebyshev,
     compare_methods,
-    euclidean,
-    kendall_tau,
-    max_ratio,
 )
 from .weighting import (
     EigenResult,
@@ -52,7 +48,6 @@ from .weighting import (
     combined_eigenvector,
     eigen_system,
     inverse_left_eigenvector,
-    left_eigenvector,
     right_eigenvector,
     row_geometric_mean,
 )

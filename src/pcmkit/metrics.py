@@ -15,8 +15,7 @@ import numpy as np
 
 from ._power import _max, _row_sum, _sum
 from .consistency import RiTable, default_ri_table
-from .core import PCMatrix, WeightVector, _require_vector, _upper_indices
-from .errors import DimensionMismatchError
+from .core import PCMatrix, _upper_indices
 from .weighting import (combined_eigenvector, consistency_index, eigen_system,
                         inverse_left_eigenvector, row_geometric_mean)
 
@@ -24,49 +23,6 @@ METRICS = ("euclidean", "chebyshev", "max_ratio", "kendall")
 
 # Vector pairs measured per matrix, all anchored at the right eigenvector.
 PAIRS = ("inverse_left", "combined", "row_geometric_mean")
-
-
-def _unit(x) -> np.ndarray:
-    """`x` at unit sum.  A raw vector must pass the WeightVector checks."""
-    if isinstance(x, WeightVector):
-        return x.priorities
-    a = np.asarray(x, dtype=float)
-    _require_vector(a, "entries")
-    return a / _row_sum(a)
-
-
-def _metric(index: int, u, v) -> float:
-    """Metric METRICS[index] between two vectors: `metric_blocks` on a
-    batch of one, after each vector is brought to unit sum."""
-    a, b = _unit(u), _unit(v)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    return float(metric_blocks(a[:, None], (b[:, None],))[index, 0, 0])
-
-
-def euclidean(u, v) -> float:
-    """Length of the line segment between two unit-sum vectors."""
-    return _metric(0, u, v)
-
-
-def chebyshev(u, v) -> float:
-    """Greatest componentwise absolute difference."""
-    return _metric(1, u, v)
-
-
-def max_ratio(u, v) -> float:
-    """Largest of u_i/v_i and v_i/u_i over all components; 1 iff equal."""
-    return _metric(2, u, v)
-
-
-def kendall_tau(u, v) -> float:
-    """Rank correlation: (#concordant - #discordant) / (n(n-1)/2).
-
-    A pair (i, j) is concordant when both vectors order it the same way
-    and discordant when they disagree; exact ties count as neither and the
-    denominator is not corrected for them.
-    """
-    return _metric(3, u, v)
 
 
 # Ties count as "at least as close".  Where the compared vectors coincide
@@ -110,6 +66,11 @@ def metric_blocks(right: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray
     Returns shape (len(METRICS), len(others), batch).  The pairs are taken
     one at a time so that no more than one (n(n-1)/2, batch) sign block per
     vector is alive at once.
+
+    Kendall tau is (#concordant - #discordant) / (n(n-1)/2): a pair (i, j)
+    is concordant when both vectors order it the same way and discordant
+    when they disagree; exact ties count as neither, and the denominator is
+    not corrected for them.
 
     Every reduction runs over axis 0.  The Euclidean sum of squares, which
     rounds, goes through `_row_sum`, whose order a column gets in any

@@ -16,7 +16,6 @@ runs.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._power import power_iterate
-from .consistency import RiTable, _chunk_sizes, _ordered_map, default_ri_table
+from .consistency import RiTable, _check_fits, _chunk_sizes, _ordered_map, default_ri_table
 from .core import PCMatrix
 from .errors import NoConvergenceError
 from .metrics import METRICS, comparison_flags, metric_blocks
@@ -418,21 +417,13 @@ def _check_memory(config: SimulationConfig) -> None:
     with the grid, so those and one partial are counted, and beside them
     `_TASK_BYTES` for every task.
     """
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return
     tables = len(config.cells()) + len(config.dims) + 1
     need = 8 * _ROWS * (config.n_bins + 1) * tables
-    if need > memory:
-        raise ValueError(
-            f"bin_width {config.bin_width} gives {config.n_bins:.3g} bins; {tables} bin "
-            f"tables of them need more than the {memory / 2**30:.1f} GiB of memory")
+    _check_fits(need, f"bin_width {config.bin_width} gives {config.n_bins:.3g} bins; "
+                f"{tables} bin tables of them need")
     tasks = len(config.cells()) * -(-config.matrices_per_cell // _BATCH)
-    if need + _TASK_BYTES * tasks > memory:
-        raise ValueError(
-            f"counts {config.matrices_per_cell} gives {tasks:.3g} tasks of up to {_BATCH} "
-            f"matrices; their list needs more than the {memory / 2**30:.1f} GiB of memory")
+    _check_fits(need + _TASK_BYTES * tasks, f"counts {config.matrices_per_cell} gives "
+                f"{tasks:.3g} tasks of up to {_BATCH} matrices; their list needs")
 
 
 def run_simulation(config: SimulationConfig, ri_table: RiTable | None = None,

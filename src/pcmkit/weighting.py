@@ -167,11 +167,6 @@ def eigen_system(matrix: PCMatrix):
     return _finished(_solved(matrix)[1])
 
 
-def left_eigenvector(matrix: PCMatrix) -> EigenResult:
-    """Dominant left eigenvector (row vector w with w A = lambda w), unit sum."""
-    return eigen_system(matrix)[1]
-
-
 def inverse_left_eigenvector(matrix: PCMatrix) -> WeightVector:
     """Componentwise inverse of the left eigenvector, renormalized.
 

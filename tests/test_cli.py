@@ -91,6 +91,19 @@ def five_alt_file(tmp_path):
     return str(path)
 
 
+def _run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI on `argv` in a subprocess under a 2 GiB address-space cap and
+    a timeout, so that a run not refused fails alone instead of exhausting
+    the machine."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from pcmkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
+
+
 def _weight_row(output: str, method: str) -> list[float]:
     for line in output.splitlines():
         parts = line.split()
@@ -545,19 +558,10 @@ class TestSimulateCommand:
 
     def test_task_list_beyond_memory_exits_2_at_once(self, tmp_path):
         """1e14 matrices are 1.2e10 tasks, whose list alone exceeds any
-        machine's memory.  The run is refused before the list is built.  In
-        case it were not, it runs under a 2 GiB address-space cap and a
-        timeout, so that it fails alone instead of exhausting the machine."""
+        machine's memory.  The run is refused before the list is built."""
         config = tmp_path / "sim.cfg"
         config.write_text("dims=4\ndeltas=1\ncounts=99999999999999\nseed=1\n")
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-                "from pcmkit.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run([sys.executable, "-c", code, "simulate", str(config),
-                               "--out", str(tmp_path / "x")], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
+        proc = _run_capped("simulate", str(config), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("pcmkit: error: counts 99999999999999 gives 1.22e+10 tasks")
@@ -712,6 +716,27 @@ class TestVerifyCommand:
 
 
 class TestRiEstimateCommand:
+    def test_ri_chunk_list_beyond_memory_exits_2_at_once(self):
+        """1e17 samples are 5e12 chunks, whose list alone exceeds any
+        machine's memory.  The estimate is refused before the list is built."""
+        proc = _run_capped("ri-estimate", "--orders", "3", "--samples", str(10 ** 17))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            f"pcmkit: error: --samples {10 ** 17} gives 5e+12 chunks of 20000 samples over 1 "
+            "order(s)")
+
+    def test_chunk_lists_of_every_order_are_counted_together(self, monkeypatch, capsys):
+        from pcmkit.consistency import _CHUNK_BYTES
+
+        # Memory for 10 chunks: one order's 6 fit, the 12 of a two-order table do not.
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 10 * _CHUNK_BYTES,
+                                            "SC_PAGE_SIZE": 1}.get)
+        assert main(["ri-estimate", "--orders", "3", "--samples", "120000"]) == 0
+        assert main(["ri-estimate", "--orders", "3-4", "--samples", "120000"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "pcmkit: error: --samples 120000 gives 12 chunks of 20000 samples over 2 order(s)")
+
     def test_prints_rows(self, capsys):
         assert main(["ri-estimate", "--orders", "3", "--samples", "2000",
                      "--seed", "5"]) == 0

@@ -14,9 +14,9 @@ from pcmkit import (
     aggregate_matrices_geometric,
     combined_eigenvector,
     consistency_index,
+    eigen_system,
     format_matrix_text,
     inverse_left_eigenvector,
-    left_eigenvector,
     normalize,
     parse_matrix_text,
     reconcile_matrix_text,
@@ -216,11 +216,11 @@ class TestTranspose:
     def test_all_ones_fixed_point(self):
         m = validate(np.ones((4, 4)))
         assert np.array_equal(transpose(m).entries, m.entries)
-        assert np.array_equal(left_eigenvector(m).weights.priorities,
+        assert np.array_equal(eigen_system(m)[1].weights.priorities,
                               right_eigenvector(m).weights.priorities)
 
     def test_left_vector_is_the_right_vector_of_the_transpose(self, five_alt):
-        left, right = left_eigenvector(five_alt), right_eigenvector(transpose(five_alt))
+        left, right = eigen_system(five_alt)[1], right_eigenvector(transpose(five_alt))
         assert np.allclose(left.weights.priorities, right.weights.priorities, rtol=1e-9, atol=0)
         assert left.lambda_max == pytest.approx(right.lambda_max, rel=1e-12)
 
@@ -242,9 +242,9 @@ class TestPermutation:
         assert p.n == 5
         assert p[0, 1] == m[order[0], order[1]]
 
-    @pytest.mark.parametrize("method", [right_eigenvector, left_eigenvector,
-                                        inverse_left_eigenvector, combined_eigenvector,
-                                        row_geometric_mean])
+    @pytest.mark.parametrize("method", [
+        right_eigenvector, pytest.param(lambda m: eigen_system(m)[1], id="eigen_system_left"),
+        inverse_left_eigenvector, combined_eigenvector, row_geometric_mean])
     def test_vector_follows_the_order(self, five_alt, method):
         def unit(v):
             return (v.weights if hasattr(v, "weights") else v).priorities

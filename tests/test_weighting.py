@@ -15,7 +15,6 @@ from pcmkit import (
     compare_methods,
     eigen_system,
     inverse_left_eigenvector,
-    left_eigenvector,
     normalize,
     right_eigenvector,
     row_geometric_mean,
@@ -99,19 +98,19 @@ class TestRightEigenvector:
 
 class TestLeftEigenvector:
     def test_reciprocal_pair_fractions(self, reciprocal_pair):
-        w = left_eigenvector(reciprocal_pair).weights.priorities
+        w = eigen_system(reciprocal_pair)[1].weights.priorities
         expected = np.array([1 / 4, 1 / 5, 1 / 8, 1.0])
         expected /= expected.sum()
         assert np.max(np.abs(w / expected - 1.0)) < 1e-6
 
     def test_four_alternative_published(self, four_alt):
-        w = left_eigenvector(four_alt).weights.priorities
+        w = eigen_system(four_alt)[1].weights.priorities
         expected = np.array([0.2482, 0.3878, 0.1049, 0.2591])
         assert np.max(np.abs(w - expected)) < 5e-4
 
     def test_all_ones_uniform(self):
         m = validate(np.ones((5, 5)))
-        w = left_eigenvector(m).weights.priorities
+        w = eigen_system(m)[1].weights.priorities
         assert np.allclose(w, 0.2, rtol=0, atol=1e-15)
 
     def test_lambda_shared_with_right(self, distant_reversal):
@@ -273,7 +272,7 @@ class TestPermutationEquivariance:
         p = permute(five_alt, order)
         for derive in (
             lambda m: right_eigenvector(m).weights.priorities,
-            lambda m: left_eigenvector(m).weights.priorities,
+            lambda m: eigen_system(m)[1].weights.priorities,
             lambda m: inverse_left_eigenvector(m).priorities,
             lambda m: combined_eigenvector(m).priorities,
             lambda m: row_geometric_mean(m).priorities,

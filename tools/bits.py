@@ -35,12 +35,24 @@ same.  The shipped-table re-derivation compares only 12 printed digits.
 
 Prints one line per run and every difference; exits 1 on any difference.
 Run from the repository root.
+
+    python3 tools/bits.py --write-pins
+
+rewrites tests/data/pins.txt, the output bits of the working tree that
+tests/test_pins.py recomputes in tier-1: the `sha256[...]` manifest lines
+of `simulate` on the `sim-grid` config at 1 worker, `float.hex` of the
+Saaty-scale RI estimate of orders 3-15 at 4,000 samples with seed n, and
+one SHA-256 each of the untimed `verify` stdout and of the stdout of the
+single-matrix commands of PIN_SINGLE on the 8 `verify` matrices as
+reconciled.  A change that moves bits on purpose rewrites the file and names
+each changed line.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import json
 import os
 import re
@@ -112,6 +124,72 @@ for n, samples, scale, workers in json.loads(sys.argv[1]):
     ri = estimate_random_index(n, samples, n, scale=scale, workers=workers)
     print(n, samples, scale, workers, ri.hex())
 """
+
+
+# Prints the raw outputs behind the pins as JSON, for the pcmkit on the
+# path: scratch files go in argv[1], argv[2] is the sim-grid config text and
+# argv[3] the single-matrix commands as JSON.
+_PIN_OUTPUTS = """
+import contextlib, io, json, sys
+from pathlib import Path
+from pcmkit import cli
+from pcmkit.consistency import estimate_random_index
+from pcmkit.core import format_matrix_text
+from pcmkit.verify import CASES
+tmp = Path(sys.argv[1])
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(args))
+    return f"exit {code}\\n{out.getvalue()}"
+config = tmp / "sim-grid.cfg"
+config.write_text(sys.argv[2])
+run("simulate", str(config), "--out", str(tmp / "sim"), "--workers", "1")
+files = []
+for k, case in enumerate(CASES):
+    files.append(tmp / f"verify_{k}_reconciled.txt")
+    files[-1].write_text(format_matrix_text(case.matrix, (case.name,)))
+print(json.dumps({
+    "manifest": (tmp / "sim" / "manifest.txt").read_text(),
+    "ri": [estimate_random_index(n, 4000, n).hex() for n in range(3, 16)],
+    "verify": run("verify"),
+    "single": [run(*command, str(f)) for f in files for command in json.loads(sys.argv[3])],
+}))
+"""
+
+# The single-matrix commands whose stdout the pins hold.
+PIN_SINGLE = (("weights", "--method", "all"), ("compare",), ("consistency",))
+
+PINS = ROOT / "tests" / "data" / "pins.txt"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pin_lines(tree: Path) -> list[str]:
+    """The pins of the pcmkit in `tree`, one `name=value` line each."""
+    with tempfile.TemporaryDirectory(prefix="pins-") as tmp:
+        outputs = json.loads(pcmkit(tree, ["-c", _PIN_OUTPUTS, tmp, GRIDS["sim-grid"],
+                                           json.dumps(PIN_SINGLE)],
+                                    check=True, capture_output=True, text=True).stdout)
+    return ([f"simulate {ln}" for ln in outputs["manifest"].splitlines()
+             if ln.startswith("sha256[")]
+            + [f"ri[{n}]={value}" for n, value in enumerate(outputs["ri"], start=3)]
+            + [f"verify={sha256(untimed(outputs['verify']))}",
+               f"single={sha256(''.join(outputs['single']))}"])
+
+
+def read_pins() -> list[str]:
+    """The pin lines of PINS, its comment lines left out."""
+    return [ln for ln in PINS.read_text().splitlines() if not ln.startswith("#")]
+
+
+def write_pins() -> None:
+    PINS.parent.mkdir(parents=True, exist_ok=True)
+    PINS.write_text("# Output bits that tests/test_pins.py recomputes; rewrite with\n"
+                    "# python3 tools/bits.py --write-pins\n"
+                    + "".join(f"{ln}\n" for ln in pin_lines(ROOT)))
 
 
 def ri_runs() -> list[tuple[int, int, str, int]]:
@@ -191,7 +269,13 @@ def report(what: str, found: list[str], sha: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
+    parser.add_argument("--write-pins", action="store_true",
+                        help=f"rewrite {PINS.relative_to(ROOT)} from the working tree and exit")
     args = parser.parse_args(argv)
+    if args.write_pins:
+        write_pins()
+        print(f"wrote {len(read_pins())} pins to {PINS.relative_to(ROOT)}")
+        return 0
 
     differences = 0
     with tempfile.TemporaryDirectory(prefix="bits-") as tmp:
